@@ -329,8 +329,9 @@ def batch_report(scenario: ScenarioConfig, logs, base_seed: int = None) \
 
 def run_batch(scenario: ScenarioConfig, trials: int = None,
               base_seed: int = None, plant: str = "rk4") -> BatchReport:
-    logs = run_trials(scenario, trials, base_seed, plant)
-    return batch_report(scenario, logs, base_seed=logs[0].seed)
+    s0 = scenario.seed if base_seed is None else int(base_seed)
+    logs = run_trials(scenario, trials, s0, plant)
+    return batch_report(scenario, logs, base_seed=s0)
 
 
 # -- rendering -------------------------------------------------------------------

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+# cho_factor and cho_solve stay bound: perfbench/tracing.py patches them here
+from scipy.linalg import cho_factor, cho_solve, solveh_banded  # noqa: F401
 
 from landersim.cbf import CbfConfig, barrier_value
 from landersim.dynamics import (
@@ -344,7 +345,31 @@ class NmpcSolver:
         mixJ = params.mix_matrix() / params.J[:, None]
         self._ucol2 = cfg.dt ** 2 * ((1.0 / params.m) ** 2
                                      + np.sum(mixJ * mixJ, axis=0))
-        self._hbuf = np.zeros((self._nz, self._nz))
+        # Newton system in stage-interleaved order (x0, u0, x1, ..., xN):
+        # stage k's block over (x_k, u_k, x_k+1) starts at 16k, so the
+        # matrix is banded with half-bandwidth 27 whatever the Jacobians hold
+        k = np.arange(n)[:, None]
+        self._perm = np.concatenate([
+            np.hstack([12 * k + np.arange(12),
+                       self._nx + 4 * k + np.arange(4)]).ravel(),
+            12 * n + np.arange(12)])
+        self._iperm = np.argsort(self._perm)
+        self._blk = 16 * k + np.arange(28)
+        ta, tb = np.tril_indices(28)
+        self._tri = 28 * ta + tb
+        self._band_at = ((ta - tb) * self._nz + self._blk[:, tb]).ravel()
+        # per-stage linearization rows: defect rows [I, 0, -I] plus one
+        # barrier-gradient row per obstacle, filled in per Newton step
+        self._m0 = np.zeros((n, 12 + self._centers.shape[0], 28))
+        self._m0[:, :12] = np.hstack([np.eye(12), np.zeros((12, 4)),
+                                      -np.eye(12)])
+        # block cost diagonal without [0] and with [1] the tracking term
+        cd = np.zeros((2, n, 28))
+        cd[:, :, :12] = 2.0 * cfg.q
+        cd[1, :, 0:3] += 2.0 * cfg.lam
+        cd[:, :, 12:16] = 2.0 * cfg.r
+        cd[:, -1, 16:] = 2.0 * cfg.q_terminal
+        self._cdiag = cd
         # per-stage tightening of the decay constraint. Stage 0 carries no
         # margin: the Euler position one step out is fixed by the measured
         # state, so tightening there would only poison the solve. solve()
@@ -434,6 +459,10 @@ class NmpcSolver:
         return float(c)
 
     def _al_value_and_grad(self, z, tr, lam_eq, mu, rho, z_surface):
+        """Augmented objective, its gradient, and the linearization the
+        Newton step reuses: dynamics Jacobians, node-to-obstacle position
+        differences and barrier penalty weights (both None without
+        obstacles)."""
         cfg = self.cfg
         X, U = self._views(z)
         n = cfg.n
@@ -465,6 +494,7 @@ class NmpcSolver:
         GX[:n] -= v + cfg.dt * np.matmul(Jx.transpose(0, 2, 1), vc)[:, :, 0]
         GU -= cfg.dt * np.matmul(Ju.transpose(0, 2, 1), vc)[:, :, 0]
 
+        diff = w = None
         if self._centers.shape[0]:
             h = self._barriers(X)
             g = h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:n] - self._mrow
@@ -475,90 +505,59 @@ class NmpcSolver:
             GX[1:, 0:2] -= 2.0 * np.sum(w[:, :, None] * diff[1:], axis=1)
             GX[:n, 0:2] += 2.0 * (1.0 - self.cbf_cfg.gamma) * np.sum(
                 w[:, :, None] * diff[:n], axis=1)
-        return float(c), G, Jx, Ju
+        return float(c), G, (Jx, Ju, diff, w)
 
     # -- inner loop: projected Gauss-Newton with spectral fallback ---------
 
-    def _hessian_gn(self, X, U, Jx, Ju, mu, rho, track_active):
-        """Dense Gauss-Newton Hessian of the augmented objective, written
-        into a reused buffer. Exact for the quadratic cost and the defect
-        penalty; the inequality penalty keeps only its outer-product part,
-        so the matrix stays positive definite and the factorization cannot
-        fail."""
+    def _gn_step(self, z, G, lin, lb, ub, rho, track_active):
+        """Projected Gauss-Newton direction: zero on the coordinates fixed at
+        a bound the gradient pushes against, the solution of the normal
+        equations on the rest; None if the factorization fails.
+
+        Stage k contributes rho MᵀM over (x_k, u_k, x_k+1), where M stacks
+        the defect Jacobian [I + dt Jx, dt Ju, -I] over one gradient row
+        per active barrier on (x_k[0:2], x_k+1[0:2]). That is exact for the
+        defect penalty and keeps the outer-product part of the inequality
+        penalty, so with the cost diagonal the matrix is positive definite.
+        The blocks are summed into band storage and factored by band
+        Cholesky, so the cost is linear in the horizon."""
         cfg = self.cfg
         n = cfg.n
-        nx = self._nx
-        H = self._hbuf
-        H[:] = 0.0
-        diag = np.empty(self._nz)
-        dX = diag[:nx].reshape(n + 1, 12)
-        dX[:n] = 2.0 * cfg.q
-        if track_active:
-            dX[:n, 0:3] += 2.0 * cfg.lam
-        dX[n] = 2.0 * cfg.q_terminal
-        dX[1:] += rho        # each node k+1 enters its defect with identity
-        diag[nx:] = np.tile(2.0 * cfg.r, n)
-        idx = np.arange(self._nz)
-        H[idx, idx] = diag
-
-        A = np.eye(12) + cfg.dt * Jx
-        B = cfg.dt * Ju
-        At = A.transpose(0, 2, 1)
-        AtA = rho * (At @ A)
-        AtB = rho * (At @ B)
-        BtB = rho * (B.transpose(0, 2, 1) @ B)
-        rA = rho * A
-        rB = rho * B
-        for k in range(n):
-            ix = 12 * k
-            jx = ix + 12
-            iu = nx + 4 * k
-            H[ix:jx, ix:jx] += AtA[k]
-            H[ix:jx, iu:iu + 4] += AtB[k]
-            H[iu:iu + 4, ix:jx] += AtB[k].T
-            H[ix:jx, jx:jx + 12] -= rA[k].T
-            H[jx:jx + 12, ix:jx] -= rA[k]
-            H[iu:iu + 4, iu:iu + 4] += BtB[k]
-            H[iu:iu + 4, jx:jx + 12] -= rB[k].T
-            H[jx:jx + 12, iu:iu + 4] -= rB[k]
-
-        if self._centers.shape[0]:
-            h = self._barriers(X)
-            g = h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:n] - self._mrow
-            act = mu - rho * g > 0.0
-            omg = 1.0 - self.cbf_cfg.gamma
-            diff = X[:, None, 0:2] - self._centers[None, :, :]
-            for k, j in zip(*np.nonzero(act)):
-                ix = 12 * k
-                cols = np.array([ix, ix + 1, ix + 12, ix + 13])
-                v = np.concatenate([-2.0 * omg * diff[k, j],
-                                    2.0 * diff[k + 1, j]])
-                H[np.ix_(cols, cols)] += rho * np.outer(v, v)
-        return H
-
-    def _newton_step(self, z, G, lb, ub, tr, lam_eq, mu, rho, z_surface,
-                     S, l_ref, Jx, Ju, track_active, a0=1.0):
-        """One projected Gauss-Newton iteration: solve the reduced normal
-        equations on the free coordinates, project the step into the box,
-        backtrack on the augmented objective starting from step size a0.
-        Returns None when the step fails its line search, which hands
-        control back to the spectral fallback."""
-        X, U = self._views(z)
-        H = self._hessian_gn(X, U, Jx, Ju, mu, rho, track_active)
+        Jx, Ju, diff, w = lin
         fixed = (ub - lb <= 0.0) \
             | ((z - lb <= 1e-9) & (G > 0.0)) \
             | ((ub - z <= 1e-9) & (G < 0.0))
-        H[fixed, :] = 0.0
-        H[:, fixed] = 0.0
-        fi = np.where(fixed)[0]
-        H[fi, fi] = 1.0
-        rhs = np.where(fixed, 0.0, -G)
+        free = ~fixed[self._perm]
+        fb = free[self._blk]
+        M = self._m0.copy()
+        M[:, :12, :12] += cfg.dt * Jx
+        M[:, :12, 12:16] = cfg.dt * Ju
+        if diff is not None:
+            act = (w > 0.0)[:, :, None]
+            M[:, 12:, 0:2] = -2.0 * (1.0 - self.cbf_cfg.gamma) * act * diff[:n]
+            M[:, 12:, 16:18] = 2.0 * act * diff[1:]
+        M *= fb[:, None, :]     # fixed coordinates drop out of every block
+        Hb = (rho * (M.transpose(0, 2, 1) @ M)).reshape(n, -1)
+        Hb[:, ::29] += self._cdiag[int(track_active)] * fb
+        ab = np.bincount(self._band_at, weights=Hb[:, self._tri].ravel(),
+                         minlength=28 * self._nz).reshape(28, self._nz)
+        ab[0, ~free] = 1.0
+        rhs = np.where(free, -G[self._perm], 0.0)
         try:
-            step = cho_solve(cho_factor(H, lower=True, check_finite=False),
-                             rhs, check_finite=False)
+            sol = solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True,
+                                lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)):
+        return sol[self._iperm] if np.all(np.isfinite(sol)) else None
+
+    def _newton_step(self, z, G, lin, lb, ub, tr, lam_eq, mu, rho, z_surface,
+                     S, l_ref, track_active, a0=1.0):
+        """One projected Gauss-Newton iteration: project the _gn_step step
+        into the box, backtrack on the augmented objective from step size
+        a0. Returns None when the step fails its line search, which hands
+        control back to the spectral fallback."""
+        step = self._gn_step(z, G, lin, lb, ub, rho, track_active)
+        if step is None:
             return None
         sigma = self.cfg.armijo_sigma
         a = a0
@@ -606,8 +605,8 @@ class NmpcSolver:
         sigma = self.cfg.armijo_sigma
         S = self._metric(z, mu, rho, track_active)
         D = 1.0 / S
-        L, G, Jx, Ju = self._al_value_and_grad(z, tr, lam_eq, mu, rho,
-                                               z_surface)
+        L, G, lin = self._al_value_and_grad(z, tr, lam_eq, mu, rho,
+                                            z_surface)
         if not np.isfinite(L) or not np.all(np.isfinite(G)):
             raise SolverDiverged("non-finite objective at inner-loop entry")
         alpha = 1.0
@@ -631,9 +630,9 @@ class NmpcSolver:
                 # monotone acceptance here: letting a Newton step ride the
                 # nonmonotone window sustains two-cycles across the barrier
                 # activation kink instead of damping them out
-                hit = self._newton_step(z, G, lb, ub, tr, lam_eq, mu, rho,
-                                        z_surface, S, L, Jx, Ju,
-                                        track_active, na)
+                hit = self._newton_step(z, G, lin, lb, ub, tr, lam_eq, mu,
+                                        rho, z_surface, S, L, track_active,
+                                        na)
                 if hit is None:
                     newton = False      # direction went bad; spectral from here
                 else:
@@ -660,8 +659,8 @@ class NmpcSolver:
                     a *= 0.5
                 if z_new is None:
                     break   # line search stalled; iterate is numerically tight
-            G_new, Jx, Ju = self._al_value_and_grad(z_new, tr, lam_eq, mu, rho,
-                                                    z_surface)[1:]
+            G_new, lin = self._al_value_and_grad(z_new, tr, lam_eq, mu, rho,
+                                                 z_surface)[1:]
             s = z_new - z
             y = G_new - G
             sy = float(s @ y)

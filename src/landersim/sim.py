@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbf import barrier_values_all
-from .dynamics import euler_step, hover_control, rk4_step
+from .dynamics import SimulationFault, euler_step, hover_control, rk4_step
 from .ocp import NmpcSolver, SolverDiverged
 from .platform import LandingPhase, PhaseTracker, build_reference_plan, \
     platform_state_at
@@ -325,12 +325,17 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4",
             reason = "solver diverged on 3 consecutive cycles"
             break
 
-        if plant == "euler":
-            x = euler_step(x, u, cfg.dt, params, z_surface)
-        else:
-            sub = cfg.dt / substeps
-            for _ in range(substeps):
-                x = rk4_step(x, u, sub, params, z_surface)
+        try:
+            if plant == "euler":
+                x = euler_step(x, u, cfg.dt, params, z_surface)
+            else:
+                sub = cfg.dt / substeps
+                for _ in range(substeps):
+                    x = rk4_step(x, u, sub, params, z_surface)
+        except SimulationFault as exc:
+            failed = True
+            reason = f"plant fault: {exc}"
+            break
         u_prev = u
     else:
         failed = True

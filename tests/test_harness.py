@@ -9,8 +9,8 @@ import pytest
 from landersim.harness import (BatchReport, ScenarioConfig, ScenarioError,
                                TrialResult, batch_report,
                                builtin_scenario_names, final_point_error,
-                               load_scenario, render_table, run_trials,
-                               trial_result)
+                               load_scenario, render_table, run_batch,
+                               run_trials, trial_result)
 from landersim.sim import TrialLog, noise_preset
 
 
@@ -223,6 +223,14 @@ def test_empty_batch_renders():
     text = render_table(rep)
     assert "n/a" in text
     json.loads(rep.to_json())         # serializes despite the nulls
+
+
+def test_run_batch_of_zero_trials():
+    sc = load_scenario("static_clear")
+    rep = run_batch(sc, trials=0, base_seed=7)
+    assert rep.n_trials == 0 and rep.base_seed == 7
+    assert "trials: 0" in render_table(rep)
+    assert run_batch(sc, trials=0).base_seed == sc.seed
 
 
 def test_render_table_golden(datadir):

@@ -14,6 +14,7 @@ from landersim.ocp import (
     NmpcSolver,
     ReferencePlan,
     SolverDiverged,
+    _random_decision,
     constraint_eval,
     cost_gradient,
     gradient_check,
@@ -281,6 +282,85 @@ def test_gradient_check_detects_corruption(cfg, params):
     plan = _constant_plan(cfg, (1.0, 0.0, 1.0))
     report = gradient_check(solver, plan, n_points=3, seed=2, corruption=0.1)
     assert not report.passed
+
+
+# -- Newton step ----------------------------------------------------------------
+
+
+def _dense_gn_step(solver, z, G, Jx, Ju, lb, ub, mu, rho, track_active):
+    """Reference projected Gauss-Newton step: the full Hessian assembled as
+    a dense matrix, one defect and one active barrier at a time, and
+    solved directly on the free coordinates."""
+    cfg, gamma = solver.cfg, solver.cbf_cfg.gamma
+    n, nx, nz = cfg.n, 12 * (cfg.n + 1), z.size
+    X = z[:nx].reshape(n + 1, 12)
+    diag = np.empty(nz)
+    dX = diag[:nx].reshape(n + 1, 12)
+    dX[:n] = 2.0 * cfg.q
+    if track_active:
+        dX[:n, 0:3] += 2.0 * cfg.lam
+    dX[n] = 2.0 * cfg.q_terminal
+    diag[nx:] = np.tile(2.0 * cfg.r, n)
+    H = np.diag(diag)
+    diff = X[:, None, 0:2] - solver._centers[None]
+    h = np.sum(diff ** 2, axis=2) - solver._rsafe2
+    g = h[1:] - (1.0 - gamma) * h[:n] - solver._mrow
+    for k in range(n):
+        ix, iu = 12 * k, nx + 4 * k
+        D = np.zeros((12, nz))          # d defect_k / dz
+        D[:, ix:ix + 12] = -(np.eye(12) + cfg.dt * Jx[k])
+        D[:, iu:iu + 4] = -cfg.dt * Ju[k]
+        D[:, ix + 12:ix + 24] = np.eye(12)
+        H += rho * D.T @ D
+        for j in np.nonzero(mu[k] - rho * g[k] > 0.0)[0]:
+            v = np.zeros(nz)            # d g_kj / dz
+            v[ix:ix + 2] = -2.0 * (1.0 - gamma) * diff[k, j]
+            v[ix + 12:ix + 14] = 2.0 * diff[k + 1, j]
+            H += rho * np.outer(v, v)
+    fixed = (ub - lb <= 0.0) | ((z - lb <= 1e-9) & (G > 0.0)) \
+        | ((ub - z <= 1e-9) & (G < 0.0))
+    free = np.nonzero(~fixed)[0]
+    step = np.zeros(nz)
+    step[free] = np.linalg.solve(H[np.ix_(free, free)], -G[free])
+    return step, fixed
+
+
+@pytest.mark.parametrize("n", [1, 10, 40])
+@pytest.mark.parametrize("track_active", [False, True])
+@pytest.mark.parametrize("rho", [10.0, 1e3])
+def test_banded_newton_step_matches_dense_reference(params, n, track_active,
+                                                    rho):
+    cfg = NmpcConfig(n=n)
+    cbf = CbfConfig(gamma=0.4, obstacles=[
+        ObstacleSpec(center=(0.5, 0.0), radius=0.3),
+        ObstacleSpec(center=(-1.0, 1.5), radius=0.2)])
+    solver = NmpcSolver(cfg, cbf, params)
+    plan = _constant_plan(cfg, (1.0, -0.5, 1.0), track_active=track_active,
+                          v_platform=(0.5, 0.0, 0.0))
+    rng = np.random.default_rng(n)
+    nx = 12 * (n + 1)
+    held = 0
+    for _ in range(4):
+        z = _random_decision(solver, rng)
+        # half the controls sit on a bound
+        at_bound = rng.random(4 * n) < 0.5
+        z[nx:][at_bound] = rng.choice([cfg.u_min, cfg.u_max], at_bound.sum())
+        lb = solver._lb_template.copy()
+        ub = solver._ub_template.copy()
+        lb[:12] = ub[:12] = z[:12]      # the pinned initial state
+        tr = solver._transcribe(z[:12], plan)
+        lam_eq = rng.normal(0.0, 1.0, (n, 12))
+        mu = rng.uniform(0.0, 5.0 * rho, (n, 2))
+        G, lin = solver._al_value_and_grad(z, tr, lam_eq, mu, rho, 0.0)[1:]
+        assert np.any(lin[3] > 0.0)     # some barrier is active
+        want, fixed = _dense_gn_step(solver, z, G, lin[0], lin[1], lb, ub,
+                                     mu, rho, track_active)
+        held += fixed[nx:].sum()
+        got = solver._gn_step(z, G, lin, lb, ub, rho, track_active)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-6 * np.abs(want).max())
+        assert np.all(got[fixed] == 0.0)
+    assert held > 0                     # some control was held at its bound
 
 
 # -- solving -------------------------------------------------------------------

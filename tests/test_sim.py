@@ -8,7 +8,9 @@ import io
 import numpy as np
 import pytest
 
-from landersim.harness import load_scenario
+from landersim import sim
+from landersim.dynamics import SimulationFault
+from landersim.harness import load_scenario, run_trials
 from landersim.ocp import NmpcSolver, SolverDiverged
 from landersim.platform import PlatformModel, phase_sequence_matches
 from landersim.sim import (NOISE_PRESETS, NoiseSigmas, TrialLog,
@@ -232,6 +234,25 @@ def test_three_holds_fail_the_trial(monkeypatch):
     assert log.n_steps == 3
     assert np.all(log.held)
     assert np.all(np.isnan(log.kkt))
+
+
+def test_plant_fault_fails_the_trial_not_the_batch(monkeypatch):
+    real = sim.rk4_step
+    calls = []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 45:        # a substep of the fifth control cycle
+            raise SimulationFault("non-finite state component")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(sim, "rk4_step", faulty)
+    sc = dataclasses.replace(load_scenario("static_clear"), timeout=1.0)
+    logs = run_trials(sc, trials=2)
+    assert [lg.seed for lg in logs] == [0, 1]
+    assert logs[0].failed and not logs[0].landed
+    assert logs[0].failure_reason == "plant fault: non-finite state component"
+    assert logs[0].n_steps == 5
+    assert logs[1].failed and "timeout" in logs[1].failure_reason
 
 
 def test_timeout_marks_failure():
