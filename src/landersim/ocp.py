@@ -17,6 +17,7 @@ iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 # cho_factor and cho_solve stay bound: perfbench/tracing.py patches them here
@@ -303,6 +304,17 @@ def constraint_eval(decision: DecisionVector, x_init, cfg: NmpcConfig,
     )
 
 
+class _Transcription(NamedTuple):
+    """Per-solve problem data: governed stage references (N+1, 12), the
+    terminal reference, per-stage anchors (N, 3) or None, and the floor
+    subtracted from each decay residual (N, n_obs)."""
+
+    x_ref: np.ndarray
+    x_term: np.ndarray
+    anchors: Optional[np.ndarray]
+    floor: np.ndarray
+
+
 def shift_warm_start(prev: DecisionVector) -> DecisionVector:
     """Receding-horizon shift: drop stage 0, duplicate the tail."""
     X = np.roll(prev.states, -1, axis=0)
@@ -373,7 +385,8 @@ class NmpcSolver:
         # per-stage tightening of the decay constraint. Stage 0 carries no
         # margin: the Euler position one step out is fixed by the measured
         # state, so tightening there would only poison the solve. solve()
-        # relaxes it further if even the raw stage-0 decay is unattainable.
+        # relaxes a copy further if even the raw stage-0 decay is
+        # unattainable; this array is not written after construction.
         self._mrow = np.full((n, max(self._centers.shape[0], 1)),
                              cfg.cbf_margin)
         self._mrow[0] = 0.0
@@ -387,10 +400,11 @@ class NmpcSolver:
         U = z[self._nx:].reshape(n, 4)
         return X, U
 
-    def _transcribe(self, x_init, plan: ReferencePlan):
-        """Governed reference arrays for one solve: stage references
-        (N+1, 12), terminal reference, and per-stage anchors (N, 3) or None.
-        Positions are pulled into the cone reachable at the governor speed."""
+    def _transcribe(self, x_init, plan: ReferencePlan,
+                    floor=None) -> _Transcription:
+        """Problem data for one solve. Reference and anchor positions are
+        pulled into the cone reachable at the governor speed. floor
+        defaults to the static per-stage tightening."""
         cfg = self.cfg
         n = cfg.n
         x_ref = plan.x_ref
@@ -416,21 +430,27 @@ class NmpcSolver:
             x_term[0:3] = pull(x_term[None, 0:3], caps[n])[0]
             if anchors is not None:
                 anchors = pull(anchors, caps[:n])
-        return x_ref, x_term, anchors
+        return _Transcription(x_ref, x_term, anchors,
+                              self._mrow if floor is None else floor)
 
     def _barriers(self, X):
         """h per node and obstacle, shape (N+1, n_obs)."""
         d = X[:, None, 0:2] - self._centers[None, :, :]
         return np.sum(d * d, axis=2) - self._rsafe2
 
-    def _constraints(self, X, U, z_surface):
+    def _decay(self, X, floor):
+        """Tightened decay residuals h_k+1 - (1 - gamma) h_k - floor, shape
+        (N, n_obs); callers check for obstacles first."""
+        h = self._barriers(X)
+        return h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:-1] - floor
+
+    def _constraints(self, X, U, floor, z_surface):
         """Defects (N,12) and tightened decay residuals (N, n_obs)."""
         n = self.cfg.n
         pred = euler_step_batch(X[:n], U, self.cfg.dt, self.params, z_surface)
         defects = X[1:] - pred
         if self._centers.shape[0]:
-            h = self._barriers(X)
-            g = h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:n] - self._mrow
+            g = self._decay(X, floor)
         else:
             g = np.zeros((n, 0))
         return defects, g
@@ -438,7 +458,7 @@ class NmpcSolver:
     def _cost_terms(self, X, U, tr):
         cfg = self.cfg
         n = cfg.n
-        x_ref, x_term, anchors = tr
+        x_ref, x_term, anchors, _ = tr
         err = X[:n] - x_ref[:n]
         c = np.sum(err * err * cfg.q) + np.sum(U * U * cfg.r)
         if anchors is not None:
@@ -451,7 +471,7 @@ class NmpcSolver:
     def _al_value(self, z, tr, lam_eq, mu, rho, z_surface):
         X, U = self._views(z)
         c = self._cost_terms(X, U, tr)
-        d, g = self._constraints(X, U, z_surface)
+        d, g = self._constraints(X, U, tr.floor, z_surface)
         c += -np.sum(lam_eq * d) + 0.5 * rho * np.sum(d * d)
         if g.size:
             w = np.maximum(0.0, mu - rho * g)
@@ -466,7 +486,7 @@ class NmpcSolver:
         cfg = self.cfg
         X, U = self._views(z)
         n = cfg.n
-        x_ref, x_term, anchors = tr
+        x_ref, x_term, anchors, floor = tr
         G = np.zeros_like(z)
         GX = G[:self._nx].reshape(n + 1, 12)
         GU = G[self._nx:].reshape(n, 4)
@@ -496,8 +516,7 @@ class NmpcSolver:
 
         diff = w = None
         if self._centers.shape[0]:
-            h = self._barriers(X)
-            g = h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:n] - self._mrow
+            g = self._decay(X, floor)
             w = np.maximum(0.0, mu - rho * g)
             c += np.sum(w * w - mu * mu) / (2.0 * rho)
             # dg/dX[k+1] = grad h(X[k+1]), dg/dX[k] = -(1-gamma) grad h(X[k])
@@ -573,7 +592,7 @@ class NmpcSolver:
             a *= 0.5
         return None
 
-    def _metric(self, z, mu, rho, track_active):
+    def _metric(self, z, floor, mu, rho, track_active):
         """Diagonal curvature estimate of the augmented objective; steps are
         taken in this metric to tame the wide weight/penalty spread. The
         barrier-penalty curvature is added where the constraint is active."""
@@ -590,8 +609,7 @@ class NmpcSolver:
         S[self._nx:] = np.tile(2.0 * cfg.r + rho * self._ucol2, n)
         if self._centers.shape[0]:
             X = z[:self._nx].reshape(n + 1, 12)
-            h = self._barriers(X)
-            g = h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:n] - self._mrow
+            g = self._decay(X, floor)
             act = (mu - rho * g > 0.0).astype(float)
             diff2 = (X[:, None, 0:2] - self._centers[None, :, :]) ** 2
             omg2 = (1.0 - self.cbf_cfg.gamma) ** 2
@@ -603,7 +621,7 @@ class NmpcSolver:
     def _inner(self, z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol, budget,
                track_active):
         sigma = self.cfg.armijo_sigma
-        S = self._metric(z, mu, rho, track_active)
+        S = self._metric(z, tr.floor, mu, rho, track_active)
         D = 1.0 / S
         L, G, lin = self._al_value_and_grad(z, tr, lam_eq, mu, rho,
                                             z_surface)
@@ -676,7 +694,8 @@ class NmpcSolver:
 
     # -- outer loop -------------------------------------------------------
 
-    def _try_polish(self, z, x_init, U, lb, ub, z_surface, d, g, dmax):
+    def _try_polish(self, z, x_init, U, lb, ub, floor, z_surface, d, g,
+                    dmax):
         """Replace the state nodes by the exact rollout under the current
         controls. Accepted only when the rollout respects the state boxes
         and keeps at least half the barrier tightening margin, so every
@@ -695,8 +714,7 @@ class NmpcSolver:
         if np.any(Xp < lbX) or np.any(Xp > ubX):
             return z, d, g, dmax
         if self._centers.shape[0]:
-            h = self._barriers(Xp)
-            gp = h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:n] - self._mrow
+            gp = self._decay(Xp, floor)
             if float(gp.min()) < -cfg.tol_ineq - 0.5 * cfg.cbf_margin:
                 return z, d, g, dmax
         else:
@@ -715,7 +733,7 @@ class NmpcSolver:
         cfg = self.cfg
         n = cfg.n
         x_init = np.asarray(x_init, dtype=float)
-        x_ref = self._transcribe(x_init, plan)[0]
+        x_ref = self._transcribe(x_init, plan).x_ref
         P = x_ref[:, 0:3].copy()
         for j in range(self._centers.shape[0]):
             c = self._centers[j]
@@ -758,6 +776,7 @@ class NmpcSolver:
             raise ValueError("plan horizon does not match configuration")
 
         n_obs = self._centers.shape[0]
+        floor = self._mrow
         if n_obs:
             # the stage-0 decay residual is a constant of the measured state
             # (the Euler position one step out ignores the control); relax
@@ -768,7 +787,8 @@ class NmpcSolver:
             h0 = np.sum(p0 * p0, axis=1) - self._rsafe2
             h1 = np.sum(p1 * p1, axis=1) - self._rsafe2
             g0 = h1 - (1.0 - self.cbf_cfg.gamma) * h0
-            self._mrow[0] = np.minimum(0.0, g0)
+            floor = floor.copy()
+            floor[0] = np.minimum(0.0, g0)
         if isinstance(warm, WarmStart):
             dec = warm.decision
             lam_eq = warm.lam_eq.copy()
@@ -804,7 +824,7 @@ class NmpcSolver:
         lb[12 + kin] = np.minimum(lb[12 + kin], forced)
         ub[12 + kin] = np.maximum(ub[12 + kin], forced)
         z = np.clip(dec.flatten(), lb, ub)
-        tr = self._transcribe(x_init, plan)
+        tr = self._transcribe(x_init, plan, floor)
 
         # with carried multipliers the iterate is already near-optimal, so
         # open at the certifying tolerance instead of the crude cold schedule
@@ -829,7 +849,7 @@ class NmpcSolver:
             total_inner += used
             self.last_inner_traces.append(trace)
             X, U = self._views(z)
-            d, g = self._constraints(X, U, z_surface)
+            d, g = self._constraints(X, U, tr.floor, z_surface)
             dmax = float(np.abs(d).max()) if d.size else 0.0
             # multipliers update at the subproblem solution, where the
             # first-order theory places them; the polish below only swaps
@@ -847,7 +867,8 @@ class NmpcSolver:
                 # the controls are settled; close the remaining dynamics gap
                 # exactly by re-rolling the states, if that stays feasible
                 z, d, g, dmax = self._try_polish(z, x_init, U, lb, ub,
-                                                 z_surface, d, g, dmax)
+                                                 tr.floor, z_surface, d, g,
+                                                 dmax)
                 X, U = self._views(z)
             viol = dmax
             if g.size:
@@ -955,7 +976,7 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
     if plan.track_active:
         k = np.arange(n)[:, None]
         anchors = plan.p_platform + k * solver.cfg.dt * plan.v_platform
-    tr = (plan.x_ref, plan.x_terminal, anchors)
+    tr = _Transcription(plan.x_ref, plan.x_terminal, anchors, solver._mrow)
     worst = 0.0
     worst_point = -1
     worst_index = -1

@@ -448,6 +448,24 @@ def test_solve_deterministic(cfg, params):
     assert a.iterations == b.iterations
 
 
+def test_relaxed_stage0_floor_does_not_outlive_the_solve(cfg, params):
+    # heading into the disc fast enough that the stage-0 decay is already
+    # lost, so solve relaxes that stage's floor; the relaxation belongs to
+    # that solve alone and must not leak into later evaluations
+    ob = ObstacleSpec(center=(1.0, 0.0), radius=0.2)
+    solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
+    plan = _constant_plan(cfg, (2.0, 0.0, 1.3))
+    before = solver._mrow.copy()
+    check = gradient_check(solver, plan, n_points=2, seed=3)
+    x0 = hover_state((0.4, 0.05, 2.0))
+    x0[3] = 2.5
+    assert np.sum((x0[0:2] + cfg.dt * x0[3:5] - ob.center) ** 2) \
+        < ob.r_safe ** 2                # the measured state is committed
+    solver.solve(x0, plan)
+    np.testing.assert_array_equal(solver._mrow, before)
+    assert gradient_check(solver, plan, n_points=2, seed=3) == check
+
+
 def test_solve_rejects_nonfinite_state(cfg, params):
     solver = NmpcSolver(cfg, CbfConfig(), params)
     x0 = hover_state((0.0, 0.0, 1.0))
