@@ -8,12 +8,18 @@ Position and velocity are world-frame (m, m/s), attitude is ZYX Euler
 angles (rad), angular rates are body-frame (rad/s). Controls are the four
 per-motor thrusts [u1, u2, u3, u4] in newtons.
 
+Vertical thrust is scaled by a ground-effect multiplier: the
+Cheeseman-Bennett factor, capped at k_ge_max, with a smoothstep blend
+between the cap and the raw factor so the model is continuously
+differentiable in height (see ground_effect_multiplier).
+
 All functions here are pure; batched variants operate on stacked rows and
 are used by the optimizer's horizon evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +31,10 @@ RATE = slice(9, 12)
 
 # margin kept from the pitch/roll singularity of the Euler-rate map
 EULER_SINGULARITY_TOL = 1e-9
+
+# height band (m) above the ground-effect saturation height z* over which
+# the multiplier blends from k_ge_max into the raw Cheeseman-Bennett factor
+GE_BLEND_WIDTH = 0.02
 
 
 class SimulationFault(RuntimeError):
@@ -38,7 +48,7 @@ class QuadrotorParams:
 
     J holds the three diagonal inertia entries; the inertia tensor is
     assumed diagonal. eps_ge regularizes the ground-effect denominator and
-    k_ge_max bounds the multiplier where the raw formula diverges.
+    k_ge_max caps the multiplier where the raw formula diverges.
     """
 
     m: float = 1.5
@@ -144,40 +154,59 @@ def mix(u: np.ndarray, params: QuadrotorParams) -> BodyWrench:
     return BodyWrench(f_total=float(u.sum()), tau=params.mix_matrix() @ u)
 
 
-def ground_effect_multiplier(z_r, params: QuadrotorParams):
-    """Thrust multiplier k_GE >= 1 near a surface.
+def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
+                   grad: bool = True):
+    """k_GE, and d k_GE / d z if grad, in one pass over heights z above a
+    surface at z_surface (see ground_effect_multiplier).
 
-    k = 1 / (1 - (r / (4 (z_r + eps)))^2), clamped to [1, k_ge_max]. The
-    clamp engages where the raw expression exceeds k_ge_max (including the
-    region past the pole, where it is negative). Accepts scalars or arrays.
+    The raw factor is written as zp^2 / (zp^2 - (r/4)^2) with zp the
+    height over the surface plus eps, clamped to at least z* + eps, where
+    the factor is finite and at most k_max, so the pole is never
+    evaluated. The blend only runs when some height lies below
+    z* + GE_BLEND_WIDTH; above that band it is the identity.
     """
-    z = np.maximum(np.asarray(z_r, dtype=float), 0.0)
-    s2 = (params.r_rotor / (4.0 * (z + params.eps_ge))) ** 2
-    s2_clamp = 1.0 - 1.0 / params.k_ge_max
-    with np.errstate(divide="ignore"):
-        raw = 1.0 / (1.0 - s2)
-    k = np.where(s2 >= s2_clamp, params.k_ge_max, raw)
-    if np.ndim(z_r) == 0:
-        return float(k)
-    return k
+    k_max, w, eps = params.k_ge_max, GE_BLEND_WIDTH, params.eps_ge
+    c2 = (0.25 * params.r_rotor) ** 2
+    zs = math.sqrt(c2 * k_max / (k_max - 1.0))      # z* + eps
+    zp = np.maximum(z + (eps - z_surface), max(zs, eps))
+    zp2 = zp * zp
+    den = zp2 - c2
+    k = zp2 / den
+    if grad:
+        dk = (-2.0 * c2) * zp / (den * den)
+    if zp.min() < zs + w:
+        # t is exactly 0 at and below z* and exactly 1 above the band, so
+        # the blend reproduces k_max and the raw factor bit for bit there
+        t = np.minimum((zp - zs) * (1.0 / w), 1.0)
+        sig = t * t * (3.0 - 2.0 * t)
+        gap = k - k_max
+        k = k_max + gap * sig
+        if grad:
+            dk = (6.0 / w) * gap * t * (1.0 - t) + dk * sig
+            if zs < eps:
+                # the band reaches below the surface, where k is flat in z
+                dk = dk * (np.asarray(z) >= z_surface)
+    return (k, dk) if grad else k
+
+
+def ground_effect_multiplier(z_r, params: QuadrotorParams):
+    """Thrust multiplier k_GE in [1, k_ge_max] near a surface.
+
+    The raw Cheeseman-Bennett factor 1 / (1 - (r / (4 (z + eps)))^2), with
+    z = max(z_r, 0), reaches k_ge_max at z* and diverges below it. Below z*
+    the multiplier is k_ge_max; above z* + GE_BLEND_WIDTH it is the raw
+    factor; in between a smoothstep blends the two, so k is monotone and
+    continuously differentiable in z_r. Accepts scalars or arrays.
+    """
+    k = _ground_effect(z_r, params, grad=False)
+    return float(k) if np.ndim(z_r) == 0 else k
 
 
 def ground_effect_gradient(z_r, params: QuadrotorParams):
-    """d k_GE / d z_r. Zero inside the clamped region and below the surface."""
-    z = np.asarray(z_r, dtype=float)
-    zp = np.maximum(z, 0.0) + params.eps_ge
-    s2 = (params.r_rotor / (4.0 * zp)) ** 2
-    s2_clamp = 1.0 - 1.0 / params.k_ge_max
-    with np.errstate(divide="ignore"):
-        k = 1.0 / (1.0 - s2)
-    grad = np.where(
-        (s2 >= s2_clamp) | (z < 0.0),
-        0.0,
-        -2.0 * s2 * k * k / zp,
-    )
-    if np.ndim(z_r) == 0:
-        return float(grad)
-    return grad
+    """d k_GE / d z_r: continuous, zero at and below z* and below the
+    surface, the raw factor's slope above z* + GE_BLEND_WIDTH."""
+    dk = _ground_effect(z_r, params)[1]
+    return float(dk) if np.ndim(z_r) == 0 else dk
 
 
 def thrust_direction(att: np.ndarray) -> np.ndarray:
@@ -217,9 +246,7 @@ def derivative_batch(X: np.ndarray, U: np.ndarray, params: QuadrotorParams,
     f_total = U.sum(axis=1)
     tau = U @ params.mix_matrix().T
 
-    z_r = X[:, 2] - z_surface
-    k_ge = ground_effect_multiplier(z_r, params)
-    k_ge = np.atleast_1d(k_ge)
+    k_ge = _ground_effect(X[:, 2], params, z_surface, grad=False)
     thrust = f_total * k_ge / params.m
 
     dX = np.empty_like(X)
@@ -243,7 +270,8 @@ def dynamics_jacobians_batch(X: np.ndarray, U: np.ndarray, params: QuadrotorPara
     """Analytic Jacobians of derivative_batch.
 
     Returns (A, B) with A (n,12,12) = df/dx and B (n,12,4) = df/du. The
-    ground-effect clamp contributes a zero derivative where active.
+    height column A[:, 3:6, 2] carries the ground-effect slope: zero at
+    and below the saturation height z*, continuous through the blend band.
     """
     return derivative_and_jacobians_batch(X, U, params, z_surface)[1:]
 
@@ -252,8 +280,9 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
                                    params: QuadrotorParams,
                                    z_surface: float = 0.0):
     """derivative_batch and dynamics_jacobians_batch in one pass, sharing
-    the trigonometry; the solver's gradient assembly calls this every
-    iteration, so the duplication is worth avoiding."""
+    the trigonometry and one ground-effect evaluation for k_GE and its
+    slope; the solver's gradient assembly calls this every iteration, so
+    the duplication is worth avoiding."""
     n = X.shape[0]
     roll, pitch, yaw = X[:, 6], X[:, 7], X[:, 8]
     wx, wy, wz = X[:, 9], X[:, 10], X[:, 11]
@@ -265,9 +294,7 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
 
     f_total = U.sum(axis=1)
     tau = U @ params.mix_matrix().T
-    z_r = X[:, 2] - z_surface
-    k_ge = np.atleast_1d(ground_effect_multiplier(z_r, params))
-    dk_dz = np.atleast_1d(ground_effect_gradient(z_r, params))
+    k_ge, dk_dz = _ground_effect(X[:, 2], params, z_surface)
     m = params.m
     J1, J2, J3 = params.J
 

@@ -658,8 +658,9 @@ class NmpcSolver:
                     na = min(1.0, 2.0 * a_acc)
                     if a_acc < 1e-6:
                         # a microscopic accepted step means the quadratic
-                        # model is worthless here (model kinks); keep the
-                        # point but stop asking Newton
+                        # model is worthless here (e.g. across the barrier
+                        # activation kink); keep the point but stop asking
+                        # Newton
                         newton = False
             if z_new is None:
                 a = alpha
@@ -944,8 +945,10 @@ class GradientCheckReport:
 
 
 def _random_decision(solver: NmpcSolver, rng) -> np.ndarray:
-    """A random flat iterate inside the box bounds, kept away from the
-    ground-effect clamp kink so central differences stay valid."""
+    """A random flat iterate inside the box bounds. Heights stay above the
+    ground-effect blend band, where the multiplier is the raw factor and
+    its higher derivatives are small, so central differences stay
+    accurate."""
     cfg = solver.cfg
     n = cfg.n
     X = np.empty((n + 1, 12))

@@ -78,7 +78,10 @@ class TrialLog:
     Rows are logged once per control period at t = k*dt; states are the
     plant truth, predicted is the Euler image of the measured state under
     the applied control (the prediction the next row can be held against).
-    terminal is present exactly when the trial reached LANDED.
+    iterations and inner_iterations are the solver's outer and inner
+    iteration counts (0 on rows without a solve); inner iterations are the
+    unit of the real-time budget nmpc.max_inner_total. terminal is present
+    exactly when the trial reached LANDED.
     """
 
     scenario: str
@@ -93,6 +96,7 @@ class TrialLog:
     phases: list
     converged: np.ndarray
     iterations: np.ndarray
+    inner_iterations: np.ndarray
     kkt: np.ndarray
     defect: np.ndarray
     min_residual: np.ndarray
@@ -126,8 +130,8 @@ class TrialLog:
         cols += ["pred_" + c for c in _STATE_COLS]
         cols += ["plat_x", "plat_y", "plat_z",
                  "plat_vx", "plat_vy", "plat_vz", "phase", "converged",
-                 "iterations", "kkt", "defect", "min_residual", "solve_ms",
-                 "held"]
+                 "iterations", "inner_iterations", "kkt", "defect",
+                 "min_residual", "solve_ms", "held"]
         cols += [f"h_{j}" for j in range(self.h.shape[1])]
         return cols
 
@@ -146,6 +150,7 @@ class TrialLog:
             row.append(self.phases[k])
             row.append(str(int(self.converged[k])))
             row.append(str(int(self.iterations[k])))
+            row.append(str(int(self.inner_iterations[k])))
             row.append(repr(float(self.kkt[k])))
             row.append(repr(float(self.defect[k])))
             row.append(repr(float(self.min_residual[k])))
@@ -194,6 +199,7 @@ class _Recorder:
                           v_plat.copy(), phase.value,
                           sol is not None and sol.converged,
                           0 if sol is None else sol.iterations,
+                          0 if sol is None else sol.inner_iterations,
                           np.nan if sol is None else sol.kkt_residual,
                           np.nan if sol is None else sol.defect_norm,
                           np.nan if sol is None else sol.min_cbf_residual,
@@ -201,7 +207,7 @@ class _Recorder:
 
     def freeze(self, terminal, failed, reason) -> TrialLog:
         n = len(self.rows)
-        cols = list(zip(*self.rows)) if n else [[] for _ in range(15)]
+        cols = list(zip(*self.rows)) if n else [[] for _ in range(16)]
         arr = lambda i, shape: (np.array(cols[i], dtype=float).reshape(shape)
                                 if n else np.zeros(shape))
         return TrialLog(
@@ -217,13 +223,15 @@ class _Recorder:
             else np.zeros(0, dtype=bool),
             iterations=np.array(cols[8], dtype=int) if n
             else np.zeros(0, dtype=int),
-            kkt=arr(9, (n,)),
-            defect=arr(10, (n,)),
-            min_residual=arr(11, (n,)),
-            solve_ms=arr(12, (n,)),
-            held=np.array(cols[13], dtype=bool) if n
+            inner_iterations=np.array(cols[9], dtype=int) if n
+            else np.zeros(0, dtype=int),
+            kkt=arr(10, (n,)),
+            defect=arr(11, (n,)),
+            min_residual=arr(12, (n,)),
+            solve_ms=arr(13, (n,)),
+            held=np.array(cols[14], dtype=bool) if n
             else np.zeros(0, dtype=bool),
-            h=arr(14, (n, self.n_obs)),
+            h=arr(15, (n, self.n_obs)),
             terminal=terminal, failed=failed, failure_reason=reason,
         )
 

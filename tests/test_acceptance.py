@@ -83,6 +83,18 @@ def test_criterion_4_realtime_budget(batches, verdict):
             f"(bound 100 ms): {detail}")
 
 
+def test_tracking_cycles_rarely_exhaust_the_budget(batches):
+    # regression guard for the ground-effect model near touchdown: a kink
+    # there sends TRACK/DESCEND solves to the full inner-iteration budget
+    hits = {}
+    for name, (logs, _, _) in batches.items():
+        budget = load_scenario(name).nmpc.max_inner_total
+        hits[name] = sum(
+            int(np.sum((lg.inner_iterations >= budget) & np.isin(
+                lg.phases, ("TRACK", "DESCEND")))) for lg in logs)
+    assert sum(hits.values()) <= 3, hits
+
+
 def test_criterion_5_gradient_check(capsys, verdict):
     errs = {}
     for name in SCENARIOS:

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from landersim.dynamics import (
     ATT,
+    GE_BLEND_WIDTH,
     POS,
     RATE,
     VEL,
     QuadrotorParams,
     SimulationFault,
     derivative,
+    derivative_and_jacobians_batch,
     derivative_batch,
     dynamics_jacobians_batch,
     euler_step,
@@ -112,6 +114,85 @@ class TestGroundEffect:
         p = QuadrotorParams()
         assert ground_effect_gradient(0.02, p) == 0.0
         assert ground_effect_gradient(-0.3, p) == 0.0
+
+
+def saturation_height(p):
+    """z* where the raw factor reaches k_ge_max: s^2 = 1 - 1/k_ge_max."""
+    return p.r_rotor / (4.0 * np.sqrt(1.0 - 1.0 / p.k_ge_max)) - p.eps_ge
+
+
+class TestGroundEffectBlend:
+    """The smoothstep band [z*, z* + GE_BLEND_WIDTH] between the saturated
+    multiplier and the raw factor."""
+
+    @pytest.mark.parametrize("knot", [0.0, GE_BLEND_WIDTH])
+    def test_value_and_slope_continuous_at_knots(self, knot):
+        p = QuadrotorParams()
+        z = saturation_height(p) + knot
+        d = 1e-13
+        for f in (ground_effect_multiplier, ground_effect_gradient):
+            assert abs(f(z + d, p) - f(z - d, p)) < 1e-9
+
+    def test_monotone_and_bounded_through_band(self):
+        p = QuadrotorParams()
+        z0 = saturation_height(p)
+        z = np.linspace(z0 - 0.01, z0 + GE_BLEND_WIDTH + 0.01, 4001)
+        k = ground_effect_multiplier(z, p)
+        assert np.all(np.diff(k) <= 0.0)
+        assert np.all((k >= 1.0) & (k <= p.k_ge_max))
+        assert np.all(ground_effect_gradient(z, p) <= 0.0)
+
+    def test_exact_outside_band(self):
+        p = QuadrotorParams()
+        z0 = saturation_height(p)
+        below = np.array([-0.1, 0.0, 0.5 * z0, z0])
+        np.testing.assert_array_equal(ground_effect_multiplier(below, p),
+                                      p.k_ge_max)
+        above = z0 + GE_BLEND_WIDTH + np.array([1e-9, 0.01, 0.5])
+        raw = 1.0 / (1.0 - (p.r_rotor / (4.0 * (above + p.eps_ge))) ** 2)
+        np.testing.assert_allclose(ground_effect_multiplier(above, p), raw,
+                                   rtol=1e-14)
+
+    def test_gradient_matches_fd_inside_band(self):
+        p = QuadrotorParams()
+        z0 = saturation_height(p)
+        z = z0 + GE_BLEND_WIDTH * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        h = 1e-7
+        fd = (ground_effect_multiplier(z + h, p)
+              - ground_effect_multiplier(z - h, p)) / (2 * h)
+        np.testing.assert_allclose(ground_effect_gradient(z, p), fd,
+                                   rtol=1e-6)
+
+    def test_band_reaching_below_surface(self):
+        # a small rotor puts z* below the surface: k stays flat there
+        p = QuadrotorParams(r_rotor=0.02)
+        assert saturation_height(p) < 0.0
+        assert ground_effect_gradient(-0.1, p) == 0.0
+        assert ground_effect_multiplier(-0.1, p) \
+            == ground_effect_multiplier(0.0, p) < p.k_ge_max
+        h = 1e-7
+        fd = (ground_effect_multiplier(0.005 + h, p)
+              - ground_effect_multiplier(0.005 - h, p)) / (2 * h)
+        assert ground_effect_gradient(0.005, p) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("z_surface", [0.0, 0.3])
+    def test_jacobian_height_column_inside_band(self, z_surface):
+        p = QuadrotorParams()
+        rng = np.random.default_rng(5)
+        n = 6
+        X = np.stack([random_state(rng) for _ in range(n)])
+        X[:, 2] = z_surface + saturation_height(p) \
+            + GE_BLEND_WIDTH * np.linspace(0.15, 0.85, n)
+        U = rng.uniform(0.5, 7.0, (n, 4))
+        _, A, _ = derivative_and_jacobians_batch(X, U, p, z_surface)
+        h = 1e-7
+        e = np.zeros(12)
+        e[2] = h
+        fd = (derivative_batch(X + e, U, p, z_surface)
+              - derivative_batch(X - e, U, p, z_surface)) / (2 * h)
+        assert np.all(A[:, 5, 2] < 0.0)
+        np.testing.assert_allclose(A[:, 3:6, 2], fd[:, 3:6], rtol=1e-6,
+                                   atol=1e-7)
 
 
 class TestDerivative:

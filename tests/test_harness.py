@@ -22,6 +22,7 @@ def _mini_log(drone, plat, seed=0, terminal=True):
         predicted=np.zeros((0, 12)), platform_pos=np.zeros((0, 3)),
         platform_vel=np.zeros((0, 3)), phases=[],
         converged=np.zeros(0, dtype=bool), iterations=np.zeros(0, dtype=int),
+        inner_iterations=np.zeros(0, dtype=int),
         kkt=np.zeros(0), defect=np.zeros(0), min_residual=np.zeros(0),
         solve_ms=np.zeros(0), held=np.zeros(0, dtype=bool),
         h=np.zeros((0, 0)),

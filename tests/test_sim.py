@@ -171,6 +171,27 @@ def test_csv_h_columns_track_obstacles(static_log, obstacle_log):
     assert obstacle_log.header()[-1] == "h_0"
 
 
+def test_inner_iterations_column_is_the_solver_count(monkeypatch):
+    counts = []
+    solve = NmpcSolver.solve
+
+    def counting(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        counts.append(sol.inner_iterations)
+        return sol
+    monkeypatch.setattr(NmpcSolver, "solve", counting)
+    log = run_closed_loop(load_scenario("static_clear"), seed=0)
+    assert log.landed and not log.held.any()
+    solved = np.array([p not in ("TOUCHDOWN", "LANDED") for p in log.phases])
+    np.testing.assert_array_equal(log.inner_iterations[solved], counts)
+    assert np.all(log.inner_iterations[~solved] == 0)
+    cols = log.header()
+    assert cols.index("inner_iterations") == cols.index("iterations") + 1
+    rows = list(csv.DictReader(io.StringIO(log.to_csv_string())))
+    assert [int(r["inner_iterations"]) for r in rows] \
+        == log.inner_iterations.tolist()
+
+
 def test_min_h_semantics(static_log, obstacle_log):
     assert static_log.min_h() == float("inf")
     assert static_log.summary_dict()["min_h"] is None
