@@ -17,7 +17,7 @@ iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 # cho_factor and cho_solve stay bound: perfbench/tracing.py patches them here
@@ -311,7 +311,7 @@ class _Transcription(NamedTuple):
 
     x_ref: np.ndarray
     x_term: np.ndarray
-    anchors: Optional[np.ndarray]
+    anchors: np.ndarray | None
     floor: np.ndarray
 
 
