@@ -75,12 +75,6 @@ def barrier_value(xy, obstacle: ObstacleSpec):
     return h
 
 
-def barrier_gradient(xy, obstacle: ObstacleSpec):
-    """dh/d(xy), shape matching the input: 2 * (xy - center)."""
-    xy = np.asarray(xy, dtype=float)
-    return 2.0 * (xy - np.array(obstacle.center))
-
-
 def cbf_residual(xy_now, xy_next, obstacle: ObstacleSpec, gamma: float):
     """h(next) - (1 - gamma) * h(now); nonnegative means the step is safe."""
     return barrier_value(xy_next, obstacle) - (1.0 - gamma) * barrier_value(

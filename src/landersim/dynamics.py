@@ -110,14 +110,6 @@ class QuadrotorParams:
         return cls(**{k: (np.array(v) if k == "J" else v) for k, v in d.items()})
 
 
-@dataclass
-class BodyWrench:
-    """Total thrust (N) and body torques (N·m) produced by the motors."""
-
-    f_total: float
-    tau: np.ndarray
-
-
 def make_state(pos=(0.0, 0.0, 0.0), vel=(0.0, 0.0, 0.0), att=(0.0, 0.0, 0.0),
                rate=(0.0, 0.0, 0.0)) -> np.ndarray:
     x = np.zeros(12)
@@ -146,12 +138,6 @@ def check_state(x: np.ndarray):
         raise SimulationFault(
             f"attitude outside the nonsingular range: roll={roll:.4f}, pitch={pitch:.4f}"
         )
-
-
-def mix(u: np.ndarray, params: QuadrotorParams) -> BodyWrench:
-    """Map per-motor thrusts to total thrust and body torques (linear)."""
-    u = np.asarray(u, dtype=float)
-    return BodyWrench(f_total=float(u.sum()), tau=params.mix_matrix() @ u)
 
 
 def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
@@ -209,15 +195,6 @@ def ground_effect_gradient(z_r, params: QuadrotorParams):
     return float(dk) if np.ndim(z_r) == 0 else dk
 
 
-def thrust_direction(att: np.ndarray) -> np.ndarray:
-    """World-frame direction of the body-z thrust axis for ZYX Euler angles."""
-    roll, pitch, yaw = att
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    return np.array([cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr])
-
-
 def derivative(x: np.ndarray, u: np.ndarray, params: QuadrotorParams,
                z_surface: float = 0.0) -> np.ndarray:
     """Continuous-time state derivative.
@@ -236,68 +213,42 @@ def derivative(x: np.ndarray, u: np.ndarray, params: QuadrotorParams,
 def derivative_batch(X: np.ndarray, U: np.ndarray, params: QuadrotorParams,
                      z_surface: float = 0.0) -> np.ndarray:
     """Vectorized derivative for stacked states (n,12) and controls (n,4)."""
-    roll, pitch, yaw = X[:, 6], X[:, 7], X[:, 8]
-    wx, wy, wz = X[:, 9], X[:, 10], X[:, 11]
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    tp = sp / cp
-
-    f_total = U.sum(axis=1)
-    tau = U @ params.mix_matrix().T
-
-    k_ge = _ground_effect(X[:, 2], params, z_surface, grad=False)
-    thrust = f_total * k_ge / params.m
-
-    dX = np.empty_like(X)
-    dX[:, 0:3] = X[:, 3:6]
-    dX[:, 3] = thrust * (cy * sp * cr + sy * sr)
-    dX[:, 4] = thrust * (sy * sp * cr - cy * sr)
-    dX[:, 5] = thrust * (cp * cr) - params.g
-    # Euler-rate kinematics [1, sr*tp, cr*tp; 0, cr, -sr; 0, sr/cp, cr/cp] @ w
-    dX[:, 6] = wx + sr * tp * wy + cr * tp * wz
-    dX[:, 7] = cr * wy - sr * wz
-    dX[:, 8] = (sr * wy + cr * wz) / cp
-    J1, J2, J3 = params.J
-    dX[:, 9] = (tau[:, 0] - (J3 - J2) * wy * wz) / J1
-    dX[:, 10] = (tau[:, 1] - (J1 - J3) * wx * wz) / J2
-    dX[:, 11] = (tau[:, 2] - (J2 - J1) * wx * wy) / J3
-    return dX
-
-
-def dynamics_jacobians_batch(X: np.ndarray, U: np.ndarray, params: QuadrotorParams,
-                             z_surface: float = 0.0):
-    """Analytic Jacobians of derivative_batch.
-
-    Returns (A, B) with A (n,12,12) = df/dx and B (n,12,4) = df/du. The
-    height column A[:, 3:6, 2] carries the ground-effect slope: zero at
-    and below the saturation height z*, continuous through the blend band.
-    """
-    return derivative_and_jacobians_batch(X, U, params, z_surface)[1:]
+    return _derivative_batch(X, U, params, z_surface, False)
 
 
 def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
                                    params: QuadrotorParams,
                                    z_surface: float = 0.0):
-    """derivative_batch and dynamics_jacobians_batch in one pass, sharing
-    the trigonometry and one ground-effect evaluation for k_GE and its
-    slope; the solver's gradient assembly calls this every iteration, so
-    the duplication is worth avoiding."""
-    n = X.shape[0]
+    """derivative_batch and its analytic Jacobians in one pass.
+
+    Returns (f, A, B) with f (n,12), A (n,12,12) = df/dx and B (n,12,4) =
+    df/du. The height column A[:, 3:6, 2] carries the ground-effect slope:
+    zero at and below the saturation height z*, continuous through the
+    blend band."""
+    return _derivative_batch(X, U, params, z_surface, True)
+
+
+def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
+    """The vehicle model: f, and with jac also (A, B), over stacked rows.
+    Both public entry points run this one body, so f is the same bits
+    whether or not the Jacobians are asked for."""
     roll, pitch, yaw = X[:, 6], X[:, 7], X[:, 8]
     wx, wy, wz = X[:, 9], X[:, 10], X[:, 11]
     cr, sr = np.cos(roll), np.sin(roll)
     cp, sp = np.cos(pitch), np.sin(pitch)
     cy, sy = np.cos(yaw), np.sin(yaw)
     tp = sp / cp
-    sec2 = 1.0 / (cp * cp)
 
     f_total = U.sum(axis=1)
-    tau = U @ params.mix_matrix().T
-    k_ge, dk_dz = _ground_effect(X[:, 2], params, z_surface)
+    mixm = params.mix_matrix()
+    tau = U @ mixm.T
+    k_ge = _ground_effect(X[:, 2], params, z_surface, grad=jac)
+    if jac:
+        k_ge, dk_dz = k_ge
     m = params.m
     J1, J2, J3 = params.J
 
+    # world-frame body-z (thrust) axis for ZYX Euler angles
     ex = cy * sp * cr + sy * sr
     ey = sy * sp * cr - cy * sr
     ez = cp * cr
@@ -308,13 +259,18 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
     dX[:, 3] = thrust * ex
     dX[:, 4] = thrust * ey
     dX[:, 5] = thrust * ez - params.g
+    # Euler-rate kinematics [1, sr*tp, cr*tp; 0, cr, -sr; 0, sr/cp, cr/cp] @ w
     dX[:, 6] = wx + sr * tp * wy + cr * tp * wz
     dX[:, 7] = cr * wy - sr * wz
     dX[:, 8] = (sr * wy + cr * wz) / cp
     dX[:, 9] = (tau[:, 0] - (J3 - J2) * wy * wz) / J1
     dX[:, 10] = (tau[:, 1] - (J1 - J3) * wx * wz) / J2
     dX[:, 11] = (tau[:, 2] - (J2 - J1) * wx * wy) / J3
+    if not jac:
+        return dX
 
+    n = X.shape[0]
+    sec2 = 1.0 / (cp * cp)
     A = np.zeros((n, 12, 12))
     A[:, 0, 3] = A[:, 1, 4] = A[:, 2, 5] = 1.0
     fg = f_total * dk_dz / m
@@ -353,7 +309,7 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
     B[:, 3, :] = (ke_m * ex)[:, None]
     B[:, 4, :] = (ke_m * ey)[:, None]
     B[:, 5, :] = (ke_m * ez)[:, None]
-    B[:, 9:12, :] = (params.mix_matrix() / params.J[:, None])[None, :, :]
+    B[:, 9:12, :] = (mixm / params.J[:, None])[None, :, :]
     return dX, A, B
 
 

@@ -12,6 +12,13 @@ for the inequalities) around a projected Gauss-Newton inner loop with a
 spectral projected-gradient fallback on the box constraints. X[0] is pinned
 to the measured state through the box bounds, so the pin is exact at every
 iterate.
+
+The problem is evaluated once per iterate, by NmpcSolver._evaluate: cost,
+defects, decay residuals and augmented objective, plus the gradient and
+dynamics Jacobians on a gradient pass. The line search's evaluation of the
+accepted point feeds its gradient pass, the metric, the multiplier update,
+the polish check and the reported certificate; constraint_eval is kept as
+an independent reference for that certificate.
 """
 
 from __future__ import annotations
@@ -115,6 +122,8 @@ class NmpcConfig:
             raise ValueError("horizon must be at least 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if min(self.max_outer, self.max_inner, self.max_inner_total) < 1:
+            raise ValueError("iteration budgets must be at least 1")
         for w in (self.q, self.r, self.q_terminal, self.lam):
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
@@ -242,43 +251,71 @@ class OcpSolution:
     warm: WarmStart
 
 
-def stage_cost(x_u, u, x_r, p_f, cfg: NmpcConfig, track_active: bool = False) -> float:
-    """Quadratic tracking cost for one stage, optionally with the platform
-    pull term lam .* (pos - p_f)^2."""
-    e = np.asarray(x_u, dtype=float) - np.asarray(x_r, dtype=float)
-    u = np.asarray(u, dtype=float)
-    c = float(e @ (cfg.q * e) + u @ (cfg.r * u))
-    if track_active:
-        dp = np.asarray(x_u, dtype=float)[0:3] - np.asarray(p_f, dtype=float)
-        c += float(dp @ (cfg.lam * dp))
-    return c
+class _Transcription(NamedTuple):
+    """Per-solve problem data: governed stage references (N+1, 12), the
+    terminal reference, per-stage anchors (N, 3) or None, and the floor
+    subtracted from each decay residual (N, n_obs), None where only the
+    cost is evaluated."""
+
+    x_ref: np.ndarray
+    x_term: np.ndarray
+    anchors: np.ndarray | None
+    floor: np.ndarray | None
 
 
-def terminal_cost(x_n, x_rf, cfg: NmpcConfig) -> float:
-    e = np.asarray(x_n, dtype=float) - np.asarray(x_rf, dtype=float)
-    return float(e @ (cfg.q_terminal * e))
+def _plan_transcription(plan: ReferencePlan, cfg: NmpcConfig,
+                        floor=None) -> _Transcription:
+    """A plan's own references, ungoverned, and its per-stage platform
+    anchors: p_platform advanced by k*dt*v_platform at stage k, or None
+    while tracking is off."""
+    anchors = None
+    if plan.track_active:
+        k = np.arange(plan.n)[:, None]
+        anchors = plan.p_platform + k * cfg.dt * plan.v_platform
+    return _Transcription(plan.x_ref, plan.x_terminal, anchors, floor)
+
+
+def _cost(X, U, tr: _Transcription, cfg: NmpcConfig, grad=False):
+    """Tracking cost of states X (N+1, 12) and controls U (N, 4) against
+    the references and anchors of tr: weighted squared stage errors, the
+    platform pull lam .* (pos - anchor)^2 where anchors are set, and the
+    terminal error. With grad, returns (cost, gradient over the flat
+    decision vector)."""
+    n = U.shape[0]
+    err = X[:n] - tr.x_ref[:n]
+    c = np.sum(err * err * cfg.q) + np.sum(U * U * cfg.r)
+    if tr.anchors is not None:
+        dp = X[:n, 0:3] - tr.anchors
+        c += np.sum(dp * dp * cfg.lam)
+    eN = X[n] - tr.x_term
+    c += eN @ (cfg.q_terminal * eN)
+    if not grad:
+        return float(c)
+    G = np.zeros(X.size + U.size)
+    GX = G[:X.size].reshape(X.shape)
+    GU = G[X.size:].reshape(U.shape)
+    GX[:n] += 2.0 * cfg.q * err
+    GU += 2.0 * cfg.r * U
+    if tr.anchors is not None:
+        GX[:n, 0:3] += 2.0 * cfg.lam * dp
+    GX[n] += 2.0 * cfg.q_terminal * eN
+    return float(c), G
 
 
 def total_cost(decision: DecisionVector, plan: ReferencePlan, cfg: NmpcConfig) -> float:
     """Sum of stage costs plus the terminal cost."""
-    X, U = decision.states, decision.controls
-    n = decision.n
-    err = X[:n] - plan.x_ref[:n]
-    c = float(np.sum(err * err * cfg.q) + np.sum(U * U * cfg.r))
-    if plan.track_active:
-        k = np.arange(n)[:, None]
-        anchors = plan.p_platform + k * cfg.dt * plan.v_platform
-        dp = X[:n, 0:3] - anchors
-        c += float(np.sum(dp * dp * cfg.lam))
-    eN = X[n] - plan.x_terminal
-    c += float(eN @ (cfg.q_terminal * eN))
-    return c
+    return _cost(decision.states, decision.controls,
+                 _plan_transcription(plan, cfg), cfg)
 
 
 def constraint_eval(decision: DecisionVector, x_init, cfg: NmpcConfig,
                     cbf_cfg: CbfConfig, params: QuadrotorParams,
                     z_surface: float = 0.0) -> ConstraintBundle:
-    """Evaluate all constraints at a decision vector (raw, untightened)."""
+    """Evaluate all constraints at a decision vector (raw, untightened).
+
+    Written independently of the solver's own evaluation, so it serves as
+    the reference its reported defect norm and barrier residual are
+    checked against."""
     X, U = decision.states, decision.controls
     n = decision.n
     pred = euler_step_batch(X[:n], U, cfg.dt, params, z_surface)
@@ -304,15 +341,24 @@ def constraint_eval(decision: DecisionVector, x_init, cfg: NmpcConfig,
     )
 
 
-class _Transcription(NamedTuple):
-    """Per-solve problem data: governed stage references (N+1, 12), the
-    terminal reference, per-stage anchors (N, 3) or None, and the floor
-    subtracted from each decay residual (N, n_obs)."""
+class _Eval(NamedTuple):
+    """The problem at one iterate: augmented objective L, tracking cost,
+    dynamics defects d (N, 12), raw decay residuals r and tightened ones
+    g = r - floor (N, n_obs), and, with obstacles, the node-to-obstacle
+    position differences diff (N+1, n_obs, 2) and barrier penalty weights
+    w (N, n_obs). A gradient pass adds the gradient G and the dynamics
+    Jacobians Jx, Ju that the Newton step reuses."""
 
-    x_ref: np.ndarray
-    x_term: np.ndarray
-    anchors: np.ndarray | None
-    floor: np.ndarray
+    L: float
+    cost: float
+    d: np.ndarray
+    r: np.ndarray
+    g: np.ndarray
+    diff: np.ndarray | None
+    w: np.ndarray | None
+    G: np.ndarray | None = None
+    Jx: np.ndarray | None = None
+    Ju: np.ndarray | None = None
 
 
 def shift_warm_start(prev: DecisionVector) -> DecisionVector:
@@ -407,12 +453,7 @@ class NmpcSolver:
         defaults to the static per-stage tightening."""
         cfg = self.cfg
         n = cfg.n
-        x_ref = plan.x_ref
-        x_term = plan.x_terminal
-        anchors = None
-        if plan.track_active:
-            k = np.arange(n)[:, None]
-            anchors = plan.p_platform + k * cfg.dt * plan.v_platform
+        x_ref, x_term, anchors, _ = _plan_transcription(plan, cfg)
         vg = cfg.ref_governor_speed
         if vg is not None and np.isfinite(vg):
             p0 = np.asarray(x_init, dtype=float)[0:3]
@@ -433,105 +474,70 @@ class NmpcSolver:
         return _Transcription(x_ref, x_term, anchors,
                               self._mrow if floor is None else floor)
 
-    def _barriers(self, X):
-        """h per node and obstacle, shape (N+1, n_obs)."""
-        d = X[:, None, 0:2] - self._centers[None, :, :]
-        return np.sum(d * d, axis=2) - self._rsafe2
+    def _decay(self, X):
+        """Raw decay residuals h_k+1 - (1 - gamma) h_k of the nodes X,
+        shape (rows - 1, n_obs), and the node-to-obstacle position
+        differences, shape (rows, n_obs, 2); h = |diff|^2 - r_safe^2."""
+        diff = X[:, None, 0:2] - self._centers[None, :, :]
+        h = np.sum(diff * diff, axis=2) - self._rsafe2
+        return h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:-1], diff
 
-    def _decay(self, X, floor):
-        """Tightened decay residuals h_k+1 - (1 - gamma) h_k - floor, shape
-        (N, n_obs); callers check for obstacles first."""
-        h = self._barriers(X)
-        return h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:-1] - floor
-
-    def _constraints(self, X, U, floor, z_surface):
-        """Defects (N,12) and tightened decay residuals (N, n_obs)."""
-        n = self.cfg.n
-        pred = euler_step_batch(X[:n], U, self.cfg.dt, self.params, z_surface)
-        defects = X[1:] - pred
-        if self._centers.shape[0]:
-            g = self._decay(X, floor)
+    def _evaluate(self, z, tr, lam_eq, mu, rho, z_surface, grad=False,
+                  at=None) -> _Eval:
+        """The problem at iterate z under multipliers lam_eq, mu and
+        penalty rho. grad adds the gradient. at, the value pass at the same
+        z, hands a gradient pass its objective and residuals, which are
+        then not recomputed."""
+        cfg = self.cfg
+        n = cfg.n
+        X, U = self._views(z)
+        if grad:
+            cost, G = _cost(X, U, tr, cfg, grad=True)
+            f, Jx, Ju = derivative_and_jacobians_batch(X[:n], U, self.params,
+                                                       z_surface)
+            # the value pass's grouping X[1:] - (X[:n] + dt f) differs from
+            # this one in the last bits; the solver's iterates depend on each
+            # pass keeping its own, so the two are not unified
+            d = X[1:] - X[:n] - cfg.dt * f
         else:
-            g = np.zeros((n, 0))
-        return defects, g
-
-    def _cost_terms(self, X, U, tr):
-        cfg = self.cfg
-        n = cfg.n
-        x_ref, x_term, anchors, _ = tr
-        err = X[:n] - x_ref[:n]
-        c = np.sum(err * err * cfg.q) + np.sum(U * U * cfg.r)
-        if anchors is not None:
-            dp = X[:n, 0:3] - anchors
-            c += np.sum(dp * dp * cfg.lam)
-        eN = X[n] - x_term
-        c += eN @ (cfg.q_terminal * eN)
-        return float(c)
-
-    def _al_value(self, z, tr, lam_eq, mu, rho, z_surface):
-        X, U = self._views(z)
-        c = self._cost_terms(X, U, tr)
-        d, g = self._constraints(X, U, tr.floor, z_surface)
-        c += -np.sum(lam_eq * d) + 0.5 * rho * np.sum(d * d)
-        if g.size:
-            w = np.maximum(0.0, mu - rho * g)
-            c += np.sum(w * w - mu * mu) / (2.0 * rho)
-        return float(c)
-
-    def _al_value_and_grad(self, z, tr, lam_eq, mu, rho, z_surface):
-        """Augmented objective, its gradient, and the linearization the
-        Newton step reuses: dynamics Jacobians, node-to-obstacle position
-        differences and barrier penalty weights (both None without
-        obstacles)."""
-        cfg = self.cfg
-        X, U = self._views(z)
-        n = cfg.n
-        x_ref, x_term, anchors, floor = tr
-        G = np.zeros_like(z)
+            cost = _cost(X, U, tr, cfg)
+            d = X[1:] - euler_step_batch(X[:n], U, cfg.dt, self.params,
+                                         z_surface)
+        ev = at
+        if ev is None:
+            L = cost + (-np.sum(lam_eq * d) + 0.5 * rho * np.sum(d * d))
+            r = g = np.zeros((n, 0))
+            diff = w = None
+            if self._centers.shape[0]:
+                r, diff = self._decay(X)
+                g = r - tr.floor
+                w = np.maximum(0.0, mu - rho * g)
+                L += np.sum(w * w - mu * mu) / (2.0 * rho)
+            ev = _Eval(float(L), cost, d, r, g, diff, w)
+        if not grad:
+            return ev
         GX = G[:self._nx].reshape(n + 1, 12)
         GU = G[self._nx:].reshape(n, 4)
-
-        err = X[:n] - x_ref[:n]
-        c = np.sum(err * err * cfg.q) + np.sum(U * U * cfg.r)
-        GX[:n] += 2.0 * cfg.q * err
-        GU += 2.0 * cfg.r * U
-        if anchors is not None:
-            dp = X[:n, 0:3] - anchors
-            c += np.sum(dp * dp * cfg.lam)
-            GX[:n, 0:3] += 2.0 * cfg.lam * dp
-        eN = X[n] - x_term
-        c += eN @ (cfg.q_terminal * eN)
-        GX[n] += 2.0 * cfg.q_terminal * eN
-
-        f, Jx, Ju = derivative_and_jacobians_batch(X[:n], U, self.params,
-                                                   z_surface)
-        d = X[1:] - X[:n] - cfg.dt * f
-        c += -np.sum(lam_eq * d) + 0.5 * rho * np.sum(d * d)
         v = rho * d - lam_eq
         GX[1:] += v
         # A = I + dt J_x, B = dt J_u; defect depends on X[k], U[k] via -A, -B
         vc = v[:, :, None]
         GX[:n] -= v + cfg.dt * np.matmul(Jx.transpose(0, 2, 1), vc)[:, :, 0]
         GU -= cfg.dt * np.matmul(Ju.transpose(0, 2, 1), vc)[:, :, 0]
-
-        diff = w = None
-        if self._centers.shape[0]:
-            g = self._decay(X, floor)
-            w = np.maximum(0.0, mu - rho * g)
-            c += np.sum(w * w - mu * mu) / (2.0 * rho)
+        if ev.diff is not None:
             # dg/dX[k+1] = grad h(X[k+1]), dg/dX[k] = -(1-gamma) grad h(X[k])
-            diff = X[:, None, 0:2] - self._centers[None, :, :]
-            GX[1:, 0:2] -= 2.0 * np.sum(w[:, :, None] * diff[1:], axis=1)
+            GX[1:, 0:2] -= 2.0 * np.sum(ev.w[:, :, None] * ev.diff[1:], axis=1)
             GX[:n, 0:2] += 2.0 * (1.0 - self.cbf_cfg.gamma) * np.sum(
-                w[:, :, None] * diff[:n], axis=1)
-        return float(c), G, (Jx, Ju, diff, w)
+                ev.w[:, :, None] * ev.diff[:n], axis=1)
+        return ev._replace(G=G, Jx=Jx, Ju=Ju)
 
     # -- inner loop: projected Gauss-Newton with spectral fallback ---------
 
-    def _gn_step(self, z, G, lin, lb, ub, rho, track_active):
-        """Projected Gauss-Newton direction: zero on the coordinates fixed at
-        a bound the gradient pushes against, the solution of the normal
-        equations on the rest; None if the factorization fails.
+    def _gn_step(self, z, ev, lb, ub, rho, track_active):
+        """Projected Gauss-Newton direction at the gradient pass ev: zero on
+        the coordinates fixed at a bound the gradient pushes against, the
+        solution of the normal equations on the rest; None if the
+        factorization fails.
 
         Stage k contributes rho MᵀM over (x_k, u_k, x_k+1), where M stacks
         the defect Jacobian [I + dt Jx, dt Ju, -I] over one gradient row
@@ -542,19 +548,19 @@ class NmpcSolver:
         Cholesky, so the cost is linear in the horizon."""
         cfg = self.cfg
         n = cfg.n
-        Jx, Ju, diff, w = lin
+        G = ev.G
         fixed = (ub - lb <= 0.0) \
             | ((z - lb <= 1e-9) & (G > 0.0)) \
             | ((ub - z <= 1e-9) & (G < 0.0))
         free = ~fixed[self._perm]
         fb = free[self._blk]
         M = self._m0.copy()
-        M[:, :12, :12] += cfg.dt * Jx
-        M[:, :12, 12:16] = cfg.dt * Ju
-        if diff is not None:
-            act = (w > 0.0)[:, :, None]
-            M[:, 12:, 0:2] = -2.0 * (1.0 - self.cbf_cfg.gamma) * act * diff[:n]
-            M[:, 12:, 16:18] = 2.0 * act * diff[1:]
+        M[:, :12, :12] += cfg.dt * ev.Jx
+        M[:, :12, 12:16] = cfg.dt * ev.Ju
+        if ev.diff is not None:
+            act = (ev.w > 0.0)[:, :, None]
+            M[:, 12:, 0:2] = -2.0 * (1.0 - self.cbf_cfg.gamma) * act * ev.diff[:n]
+            M[:, 12:, 16:18] = 2.0 * act * ev.diff[1:]
         M *= fb[:, None, :]     # fixed coordinates drop out of every block
         Hb = (rho * (M.transpose(0, 2, 1) @ M)).reshape(n, -1)
         Hb[:, ::29] += self._cdiag[int(track_active)] * fb
@@ -569,13 +575,14 @@ class NmpcSolver:
             return None
         return sol[self._iperm] if np.all(np.isfinite(sol)) else None
 
-    def _newton_step(self, z, G, lin, lb, ub, tr, lam_eq, mu, rho, z_surface,
-                     S, l_ref, track_active, a0=1.0):
+    def _newton_step(self, z, ev, lb, ub, tr, lam_eq, mu, rho, z_surface,
+                     S, track_active, a0=1.0):
         """One projected Gauss-Newton iteration: project the _gn_step step
         into the box, backtrack on the augmented objective from step size
-        a0. Returns None when the step fails its line search, which hands
-        control back to the spectral fallback."""
-        step = self._gn_step(z, G, lin, lb, ub, rho, track_active)
+        a0 against ev.L. Returns the accepted point, its evaluation and
+        step size, or None when the line search fails, which hands control
+        back to the spectral fallback."""
+        step = self._gn_step(z, ev, lb, ub, rho, track_active)
         if step is None:
             return None
         sigma = self.cfg.armijo_sigma
@@ -586,16 +593,17 @@ class NmpcSolver:
             ss = float(dz @ (S * dz))
             if ss == 0.0:
                 return None
-            Lc = self._al_value(cand, tr, lam_eq, mu, rho, z_surface)
-            if np.isfinite(Lc) and Lc <= l_ref - sigma * min(a, 1.0) * ss:
-                return cand, Lc, a
+            c = self._evaluate(cand, tr, lam_eq, mu, rho, z_surface)
+            if np.isfinite(c.L) and c.L <= ev.L - sigma * min(a, 1.0) * ss:
+                return cand, c, a
             a *= 0.5
         return None
 
-    def _metric(self, z, floor, mu, rho, track_active):
-        """Diagonal curvature estimate of the augmented objective; steps are
-        taken in this metric to tame the wide weight/penalty spread. The
-        barrier-penalty curvature is added where the constraint is active."""
+    def _metric(self, ev, rho, track_active):
+        """Diagonal curvature estimate of the augmented objective at the
+        evaluation ev; steps are taken in this metric to tame the wide
+        weight/penalty spread. The barrier-penalty curvature is added where
+        the constraint is active."""
         cfg = self.cfg
         n = cfg.n
         sx = 2.0 * cfg.q + 2.0 * rho
@@ -607,11 +615,9 @@ class NmpcSolver:
         SX[:] = sx
         SX[n] = 2.0 * cfg.q_terminal + rho
         S[self._nx:] = np.tile(2.0 * cfg.r + rho * self._ucol2, n)
-        if self._centers.shape[0]:
-            X = z[:self._nx].reshape(n + 1, 12)
-            g = self._decay(X, floor)
-            act = (mu - rho * g > 0.0).astype(float)
-            diff2 = (X[:, None, 0:2] - self._centers[None, :, :]) ** 2
+        if ev.diff is not None:
+            act = (ev.w > 0.0).astype(float)
+            diff2 = ev.diff ** 2
             omg2 = (1.0 - self.cbf_cfg.gamma) ** 2
             SX[1:, 0:2] += 4.0 * rho * np.sum(act[:, :, None] * diff2[1:], axis=1)
             SX[:n, 0:2] += 4.0 * rho * omg2 * np.sum(
@@ -620,41 +626,44 @@ class NmpcSolver:
 
     def _inner(self, z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol, budget,
                track_active):
+        """Minimize the augmented objective over the box from z. Returns
+        the last iterate and its value-pass evaluation, the
+        projected-gradient residual, the iterations used and the trace of
+        objective values."""
         sigma = self.cfg.armijo_sigma
-        S = self._metric(z, tr.floor, mu, rho, track_active)
-        D = 1.0 / S
-        L, G, lin = self._al_value_and_grad(z, tr, lam_eq, mu, rho,
-                                            z_surface)
-        if not np.isfinite(L) or not np.all(np.isfinite(G)):
+        prob = (tr, lam_eq, mu, rho, z_surface)
+        ev = entry = self._evaluate(z, *prob, grad=True)
+        if not np.isfinite(ev.L) or not np.all(np.isfinite(ev.G)):
             raise SolverDiverged("non-finite objective at inner-loop entry")
+        S = self._metric(ev, rho, track_active)
+        D = 1.0 / S
         alpha = 1.0
         na = 1.0
         used = 0
-        trace = [L]
+        trace = [ev.L]
         # nonmonotone reference: accept against the worst of the last few
         # values so full spectral steps survive more often
-        hist = [L]
+        hist = [ev.L]
         newton = True
         # fixed-point residual of the scaled projected-gradient map: how far
         # a unit step in the metric would move the iterate
-        pg = float(np.abs(np.clip(z - D * G, lb, ub) - z).max())
+        pg = float(np.abs(np.clip(z - D * ev.G, lb, ub) - z).max())
         for _ in range(budget):
             if pg <= tol:
                 break
             used += 1
             L_ref = max(hist)
-            z_new = L_new = None
+            z_new = new = None
             if newton:
                 # monotone acceptance here: letting a Newton step ride the
                 # nonmonotone window sustains two-cycles across the barrier
                 # activation kink instead of damping them out
-                hit = self._newton_step(z, G, lin, lb, ub, tr, lam_eq, mu,
-                                        rho, z_surface, S, L, track_active,
+                hit = self._newton_step(z, ev, lb, ub, *prob, S, track_active,
                                         na)
                 if hit is None:
                     newton = False      # direction went bad; spectral from here
                 else:
-                    z_new, L_new, a_acc = hit
+                    z_new, new, a_acc = hit
                     na = min(1.0, 2.0 * a_acc)
                     if a_acc < 1e-6:
                         # a microscopic accepted step means the quadratic
@@ -664,67 +673,61 @@ class NmpcSolver:
                         newton = False
             if z_new is None:
                 a = alpha
-                dirn = D * G
+                dirn = D * ev.G
                 for _ in range(60):
                     cand = np.clip(z - a * dirn, lb, ub)
                     dz = cand - z
                     ss = float(dz @ (S * dz))
                     if ss == 0.0:
                         break
-                    Lc = self._al_value(cand, tr, lam_eq, mu, rho, z_surface)
-                    if np.isfinite(Lc) and Lc <= L_ref - (sigma / a) * ss:
-                        z_new, L_new = cand, Lc
+                    c = self._evaluate(cand, *prob)
+                    if np.isfinite(c.L) and c.L <= L_ref - (sigma / a) * ss:
+                        z_new, new = cand, c
                         break
                     a *= 0.5
                 if z_new is None:
                     break   # line search stalled; iterate is numerically tight
-            G_new, lin = self._al_value_and_grad(z_new, tr, lam_eq, mu, rho,
-                                                 z_surface)[1:]
+            new = self._evaluate(z_new, *prob, grad=True, at=new)
             s = z_new - z
-            y = G_new - G
+            y = new.G - ev.G
             sy = float(s @ y)
             if sy > 1e-14:
                 alpha = min(max(float(s @ (S * s)) / sy, 1e-4), 1e4)
-            z, L, G = z_new, L_new, G_new
-            trace.append(L)
-            hist.append(L)
+            z, ev = z_new, new
+            trace.append(ev.L)
+            hist.append(ev.L)
             if len(hist) > 8:
                 hist.pop(0)
-            pg = float(np.abs(np.clip(z - D * G, lb, ub) - z).max())
-        return z, L, G, pg, used, trace
+            pg = float(np.abs(np.clip(z - D * ev.G, lb, ub) - z).max())
+        if ev is entry:
+            # no step was taken: the entry pass formed its defects the
+            # gradient way, the multiplier update and certificate need the
+            # value pass's
+            ev = self._evaluate(z, *prob)
+        return z, ev, pg, used, trace
 
     # -- outer loop -------------------------------------------------------
 
-    def _try_polish(self, z, x_init, U, lb, ub, floor, z_surface, d, g,
-                    dmax):
+    def _try_polish(self, z, ev, lb, ub, tr, lam_eq, mu, rho, z_surface):
         """Replace the state nodes by the exact rollout under the current
         controls. Accepted only when the rollout respects the state boxes
         and keeps at least half the barrier tightening margin, so every
-        reported certificate still holds on the returned iterate."""
+        reported certificate still holds on the returned iterate. Returns
+        the iterate kept and its evaluation; X[0] is already pinned."""
         cfg = self.cfg
         n = cfg.n
-        Xp = np.empty((n + 1, 12))
-        Xp[0] = x_init
+        U = self._views(z)[1]
+        zp = z.copy()
+        Xp = zp[:self._nx].reshape(n + 1, 12)
         for k in range(n):
             Xp[k + 1] = euler_step_batch(Xp[k][None], U[k][None], cfg.dt,
                                          self.params, z_surface)[0]
-        if not np.all(np.isfinite(Xp)):
-            return z, d, g, dmax
-        lbX = lb[:self._nx].reshape(n + 1, 12)
-        ubX = ub[:self._nx].reshape(n + 1, 12)
-        if np.any(Xp < lbX) or np.any(Xp > ubX):
-            return z, d, g, dmax
-        if self._centers.shape[0]:
-            gp = self._decay(Xp, floor)
-            if float(gp.min()) < -cfg.tol_ineq - 0.5 * cfg.cbf_margin:
-                return z, d, g, dmax
-        else:
-            gp = g
-        zp = z.copy()
-        zp[:self._nx] = Xp.ravel()
-        dp = Xp[1:] - euler_step_batch(Xp[:n], U, cfg.dt, self.params,
-                                       z_surface)
-        return zp, dp, gp, float(np.abs(dp).max())
+        if not np.all(np.isfinite(zp)) or np.any(zp < lb) or np.any(zp > ub):
+            return z, ev
+        evp = self._evaluate(zp, tr, lam_eq, mu, rho, z_surface)
+        if evp.g.size and float(evp.g.min()) < -cfg.tol_ineq - 0.5 * cfg.cbf_margin:
+            return z, ev
+        return zp, evp
 
     def cold_start(self, x_init, plan: ReferencePlan) -> DecisionVector:
         """Initial iterate for a solve without a warm start. Positions track
@@ -783,13 +786,12 @@ class NmpcSolver:
             # (the Euler position one step out ignores the control); relax
             # its floor to whatever is attainable so the stage cannot poison
             # the whole solve when the vehicle is already committed
-            p0 = x_init[0:2] - self._centers
-            p1 = (x_init[0:2] + cfg.dt * x_init[3:5]) - self._centers
-            h0 = np.sum(p0 * p0, axis=1) - self._rsafe2
-            h1 = np.sum(p1 * p1, axis=1) - self._rsafe2
-            g0 = h1 - (1.0 - self.cbf_cfg.gamma) * h0
+            P = np.array([x_init[0:2], x_init[0:2] + cfg.dt * x_init[3:5]])
             floor = floor.copy()
-            floor[0] = np.minimum(0.0, g0)
+            floor[0] = np.minimum(0.0, self._decay(P)[0][0])
+        lam_eq = np.zeros((n, 12))
+        mu = np.zeros((n, n_obs))
+        rho = cfg.penalty_init
         if isinstance(warm, WarmStart):
             dec = warm.decision
             lam_eq = warm.lam_eq.copy()
@@ -800,14 +802,8 @@ class NmpcSolver:
             rho = min(warm.rho, 0.01 * cfg.penalty_max)
         elif isinstance(warm, DecisionVector):
             dec = warm
-            lam_eq = np.zeros((n, 12))
-            mu = np.zeros((n, n_obs))
-            rho = cfg.penalty_init
         else:
             dec = self.cold_start(x_init, plan)
-            lam_eq = np.zeros((n, 12))
-            mu = np.zeros((n, n_obs))
-            rho = cfg.penalty_init
 
         lb = self._lb_template.copy()
         ub = self._ub_template.copy()
@@ -835,23 +831,18 @@ class NmpcSolver:
             tol_inner = max(cfg.tol_stat, 1e-2)
         viol_last = np.inf
         total_inner = 0
-        outer = 0
         converged = False
-        pg = np.inf
         stall = 0
         self.last_inner_traces = []
         for outer in range(1, cfg.max_outer + 1):
             room = cfg.max_inner_total - total_inner
             if room <= 0:
                 break   # real-time budget exhausted; fly the best iterate
-            z, L, G, pg, used, trace = self._inner(
+            z, ev, pg, used, trace = self._inner(
                 z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol_inner,
                 min(cfg.max_inner, room), plan.track_active)
             total_inner += used
             self.last_inner_traces.append(trace)
-            X, U = self._views(z)
-            d, g = self._constraints(X, U, tr.floor, z_surface)
-            dmax = float(np.abs(d).max()) if d.size else 0.0
             # multipliers update at the subproblem solution, where the
             # first-order theory places them; the polish below only swaps
             # the iterate for an exactly-feasible equivalent and must not
@@ -860,17 +851,18 @@ class NmpcSolver:
             # update: rho times the residuals of a garbage iterate would
             # poison the multipliers for every later outer
             if pg <= max(10.0 * tol_inner, cfg.tol_stat):
-                lam_eq = lam_eq - rho * d
-                if g.size:
-                    mu = np.maximum(0.0, mu - rho * g)
+                lam_eq = lam_eq - rho * ev.d
+                if ev.w is not None:
+                    mu = ev.w       # max(0, mu - rho g), the penalty weight
+            dmax = float(np.abs(ev.d).max())
             if dmax > cfg.tol_feas and dmax <= cfg.polish_gate \
                     and pg <= cfg.tol_stat:
                 # the controls are settled; close the remaining dynamics gap
                 # exactly by re-rolling the states, if that stays feasible
-                z, d, g, dmax = self._try_polish(z, x_init, U, lb, ub,
-                                                 tr.floor, z_surface, d, g,
-                                                 dmax)
-                X, U = self._views(z)
+                z, ev = self._try_polish(z, ev, lb, ub, tr, lam_eq, mu, rho,
+                                         z_surface)
+                dmax = float(np.abs(ev.d).max())
+            g = ev.g
             viol = dmax
             if g.size:
                 viol = max(viol, float(np.maximum(0.0, -g).max()))
@@ -906,18 +898,17 @@ class NmpcSolver:
             tol_inner = min(max(cfg.tol_stat * 0.5, 0.25 * viol),
                             max(cfg.tol_stat * 0.5, tol_inner * 0.5))
 
+        # the certificate comes from the evaluation of the returned iterate
+        # (the budget checks in NmpcConfig guarantee one outer iteration)
         decision = DecisionVector.from_flat(z, n)
-        bundle = constraint_eval(decision, x_init, cfg, self.cbf_cfg,
-                                 self.params, z_surface)
-        X, U = self._views(z)
         u_apply = np.clip(decision.controls[0].copy(), cfg.u_min, cfg.u_max)
         return OcpSolution(
             decision=decision,
             u_apply=u_apply,
-            cost=self._cost_terms(X, U, tr),
+            cost=ev.cost,
             kkt_residual=float(pg),
-            defect_norm=bundle.defect_norm,
-            min_cbf_residual=bundle.min_cbf_residual,
+            defect_norm=dmax,
+            min_cbf_residual=float(ev.r.min()) if ev.r.size else float("inf"),
             iterations=outer,
             inner_iterations=total_inner,
             converged=converged,
@@ -975,11 +966,7 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
     rng = np.random.default_rng(seed)
     n = solver.cfg.n
     n_obs = solver._centers.shape[0]
-    anchors = None
-    if plan.track_active:
-        k = np.arange(n)[:, None]
-        anchors = plan.p_platform + k * solver.cfg.dt * plan.v_platform
-    tr = _Transcription(plan.x_ref, plan.x_terminal, anchors, solver._mrow)
+    tr = _plan_transcription(plan, solver.cfg, solver._mrow)
     worst = 0.0
     worst_point = -1
     worst_index = -1
@@ -988,7 +975,8 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
         lam_eq = rng.normal(0.0, 1.0, (n, 12))
         mu = np.abs(rng.normal(0.0, 1.0, (n, n_obs)))
         rho = 10.0
-        G = solver._al_value_and_grad(z, tr, lam_eq, mu, rho, z_surface)[1]
+        args = (tr, lam_eq, mu, rho, z_surface)
+        G = solver._evaluate(z, *args, grad=True).G
         if corruption:
             j = int(np.abs(G).argmax())
             G = G.copy()
@@ -999,9 +987,8 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
             zp[j] += step
             zm = z.copy()
             zm[j] -= step
-            G_fd[j] = (solver._al_value(zp, tr, lam_eq, mu, rho, z_surface)
-                       - solver._al_value(zm, tr, lam_eq, mu, rho, z_surface)
-                       ) / (2.0 * step)
+            G_fd[j] = (solver._evaluate(zp, *args).L
+                       - solver._evaluate(zm, *args).L) / (2.0 * step)
         denom = max(1.0, float(np.abs(G_fd).max()))
         err = np.abs(G - G_fd) / denom
         j = int(err.argmax())
@@ -1013,20 +1000,3 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
                                worst_index=worst_index, n_points=n_points,
                                tol=tol)
 
-
-def cost_gradient(decision: DecisionVector, plan: ReferencePlan,
-                  cfg: NmpcConfig) -> np.ndarray:
-    """Gradient of the pure cost (no constraints); exact for the quadratic
-    objective, used as the machine-precision baseline of the check."""
-    X, U = decision.states, decision.controls
-    n = decision.n
-    GX = np.zeros((n + 1, 12))
-    GU = np.zeros((n, 4))
-    GX[:n] = 2.0 * cfg.q * (X[:n] - plan.x_ref[:n])
-    GU[:] = 2.0 * cfg.r * U
-    if plan.track_active:
-        k = np.arange(n)[:, None]
-        anchors = plan.p_platform + k * cfg.dt * plan.v_platform
-        GX[:n, 0:3] += 2.0 * cfg.lam * (X[:n, 0:3] - anchors)
-    GX[n] = 2.0 * cfg.q_terminal * (X[n] - plan.x_terminal)
-    return np.concatenate([GX.ravel(), GU.ravel()])

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from landersim.cbf import (
     CbfConfig,
     ObstacleSpec,
-    barrier_gradient,
     barrier_value,
     barrier_values_all,
     cbf_residual,
     decay_envelope,
     min_barrier_value,
 )
+from landersim.dynamics import QuadrotorParams
+from landersim.ocp import DecisionVector, NmpcConfig, NmpcSolver, ReferencePlan
 
 
 def test_barrier_sign_convention():
@@ -33,20 +34,28 @@ def test_barrier_vectorized_shapes():
     h = barrier_value(pts, ob)
     assert h.shape == (5,)
     assert h[0] == pytest.approx(-0.09)
-    g = barrier_gradient(pts, ob)
-    assert g.shape == (5, 2)
-    np.testing.assert_allclose(g[:, 0], 2 * pts[:, 0])
 
 
 def test_gradient_matches_fd():
+    # the solver linearizes h through 2 * (node - center), the position
+    # differences its evaluation carries; check them against h itself
     ob = ObstacleSpec(center=(0.7, -0.4), radius=0.25, margin=0.3)
-    p = np.array([1.3, 0.9])
+    cfg = NmpcConfig(n=1)
+    solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), QuadrotorParams())
+    X = np.zeros((2, 12))
+    X[:, 0:2] = [[1.3, 0.9], [-0.2, 0.5]]
+    z = DecisionVector(X, np.zeros((1, 4))).flatten()
+    tr = solver._transcribe(X[0], ReferencePlan(X, X[1], np.zeros(3)))
+    ev = solver._evaluate(z, tr, np.zeros((1, 12)), np.zeros((1, 1)), 1.0,
+                          0.0)
     eps = 1e-7
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = eps
-        fd = (barrier_value(p + e, ob) - barrier_value(p - e, ob)) / (2 * eps)
-        assert barrier_gradient(p, ob)[i] == pytest.approx(fd, rel=1e-6)
+    for k in range(2):
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = eps
+            fd = (barrier_value(X[k, 0:2] + e, ob)
+                  - barrier_value(X[k, 0:2] - e, ob)) / (2 * eps)
+            assert 2.0 * ev.diff[k, 0, i] == pytest.approx(fd, rel=1e-6)
 
 
 def test_residual_definition():

@@ -117,6 +117,17 @@ def test_invalid_scenario_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "o2")]) == 2
 
 
+@pytest.mark.parametrize("budget", ["max_outer", "max_inner",
+                                    "max_inner_total"])
+def test_zero_iteration_budget_exits_two(tmp_path, capsys, budget):
+    sc = tmp_path / "no_budget.json"
+    sc.write_text(json.dumps({"name": "no_budget", "nmpc": {budget: 0}}))
+    rc = main(["run", "--scenario", str(sc), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "iteration budgets" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_trials_override_validated(tmp_path):
     rc = main(["run", "--scenario", "static_clear", "--trials", "0",
                "--out", str(tmp_path)])

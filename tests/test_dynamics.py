@@ -17,7 +17,6 @@ from landersim.dynamics import (
     derivative,
     derivative_and_jacobians_batch,
     derivative_batch,
-    dynamics_jacobians_batch,
     euler_step,
     euler_step_batch,
     ground_effect_gradient,
@@ -25,9 +24,7 @@ from landersim.dynamics import (
     hover_control,
     hover_state,
     make_state,
-    mix,
     rk4_step,
-    thrust_direction,
 )
 
 
@@ -41,27 +38,31 @@ def random_state(rng, z_lo=0.5, z_hi=3.0):
 
 
 class TestMix:
+    """The mixing matrix maps motor thrusts to body torques; the total
+    thrust is their sum."""
+
     def test_worked_example(self):
         p = QuadrotorParams(l_x=0.1, l_y=0.1, k_t=0.02)
-        w = mix(np.array([1.0, 2.0, 3.0, 4.0]), p)
-        assert w.f_total == pytest.approx(10.0)
-        assert w.tau == pytest.approx([0.0, 0.2, -0.08])
+        u = np.array([1.0, 2.0, 3.0, 4.0])
+        assert u.sum() == pytest.approx(10.0)
+        assert p.mix_matrix() @ u == pytest.approx([0.0, 0.2, -0.08])
 
     def test_hover_is_torque_free(self):
         p = QuadrotorParams()
-        w = mix(hover_control(p), p)
-        assert w.f_total == pytest.approx(p.m * p.g)
-        np.testing.assert_allclose(w.tau, 0.0, atol=1e-12)
+        u = hover_control(p)
+        assert u.sum() == pytest.approx(p.m * p.g)
+        np.testing.assert_allclose(p.mix_matrix() @ u, 0.0, atol=1e-12)
 
     @given(st.lists(st.floats(-5, 5), min_size=8, max_size=8),
            st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, vals, a, b):
         p = QuadrotorParams()
+        M = p.mix_matrix()
         u1, u2 = np.array(vals[:4]), np.array(vals[4:])
-        lhs = mix(a * u1 + b * u2, p)
-        r1, r2 = mix(u1, p), mix(u2, p)
-        assert lhs.f_total == pytest.approx(a * r1.f_total + b * r2.f_total, abs=1e-9)
-        np.testing.assert_allclose(lhs.tau, a * r1.tau + b * r2.tau, atol=1e-9)
+        u = a * u1 + b * u2
+        assert u.sum() == pytest.approx(a * u1.sum() + b * u2.sum(), abs=1e-9)
+        np.testing.assert_allclose(M @ u, a * (M @ u1) + b * (M @ u2),
+                                   atol=1e-9)
 
 
 class TestGroundEffect:
@@ -230,10 +231,16 @@ class TestDerivative:
         assert dx[5] == pytest.approx(0.654)
 
     def test_thrust_direction_vertical_at_level_attitude(self):
-        np.testing.assert_allclose(thrust_direction(np.zeros(3)), [0, 0, 1])
-        # yaw alone never tilts the thrust axis
-        np.testing.assert_allclose(thrust_direction(np.array([0, 0, 1.2])), [0, 0, 1],
-                                   atol=1e-15)
+        # the thrust axis is the acceleration gravity does not explain,
+        # scaled by the thrust per unit mass
+        p = QuadrotorParams()
+        u = hover_control(p)
+        for yaw in (0.0, 1.2):      # yaw alone never tilts the thrust axis
+            x = make_state(pos=(0, 0, 2), att=(0.0, 0.0, yaw))
+            dx = derivative(x, u, p)
+            a = u.sum() * ground_effect_multiplier(2.0, p) / p.m
+            axis = (dx[3:6] + np.array([0.0, 0.0, p.g])) / a
+            np.testing.assert_allclose(axis, [0, 0, 1], atol=1e-15)
 
     def test_pitch_tilts_thrust_forward(self):
         p = QuadrotorParams()
@@ -346,7 +353,8 @@ class TestJacobians:
             # keep clear of the ground-effect clamp kink
             x = random_state(rng, z_lo=z_surface + 0.12, z_hi=z_surface + 2.5)
             u = rng.uniform(0.5, 7.0, 4)
-            A, B = dynamics_jacobians_batch(x[None], u[None], p, z_surface)
+            _, A, B = derivative_and_jacobians_batch(x[None], u[None], p,
+                                                     z_surface)
             A_fd, B_fd = self.fd_jacobians(x, u, p, z_surface)
             np.testing.assert_allclose(A[0], A_fd, atol=2e-6)
             np.testing.assert_allclose(B[0], B_fd, atol=2e-6)
@@ -355,7 +363,7 @@ class TestJacobians:
         p = QuadrotorParams()
         x = hover_state((0, 0, 0.1))
         u = hover_control(p)
-        A, _ = dynamics_jacobians_batch(x[None], u[None], p, 0.0)
+        _, A, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
         A_fd, _ = self.fd_jacobians(x, u, p, 0.0)
         assert A[0, 5, 2] < -1.0    # thrust gain falls off with height
         assert A[0, 5, 2] == pytest.approx(A_fd[5, 2], rel=1e-4)
@@ -364,7 +372,7 @@ class TestJacobians:
         p = QuadrotorParams()
         x = hover_state((0, 0, 0.02))
         u = hover_control(p)
-        A, _ = dynamics_jacobians_batch(x[None], u[None], p, 0.0)
+        _, A, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
         assert A[0, 5, 2] == 0.0
 
 

@@ -14,13 +14,12 @@ from landersim.ocp import (
     NmpcSolver,
     ReferencePlan,
     SolverDiverged,
+    _cost,
+    _plan_transcription,
     _random_decision,
     constraint_eval,
-    cost_gradient,
     gradient_check,
     shift_warm_start,
-    stage_cost,
-    terminal_cost,
     total_cost,
 )
 
@@ -50,46 +49,88 @@ def _constant_plan(cfg, pos, track_active=False, v_platform=(0.0, 0.0, 0.0)):
 # -- cost oracles -----------------------------------------------------------
 
 
+def _naive_cost(dec, plan, cfg):
+    """Independent scalar-loop oracle: stage errors, platform pull towards
+    the anchor advanced k*dt per stage, and the terminal error."""
+    c = 0.0
+    for k in range(dec.n):
+        for i in range(12):
+            c += cfg.q[i] * (dec.states[k, i] - plan.x_ref[k, i]) ** 2
+        for i in range(4):
+            c += cfg.r[i] * dec.controls[k, i] ** 2
+        if plan.track_active:
+            for i in range(3):
+                anchor = plan.p_platform[i] + k * cfg.dt * plan.v_platform[i]
+                c += cfg.lam[i] * (dec.states[k, i] - anchor) ** 2
+    for i in range(12):
+        c += cfg.q_terminal[i] * (dec.states[dec.n, i] - plan.x_terminal[i]) ** 2
+    return c
+
+
+def _one_stage(x0, u0, x1, x_ref0, x_terminal, p_f, track_active):
+    """A horizon-one decision and plan (anchor fixed at p_f)."""
+    dec = DecisionVector(states=np.array([x0, x1]), controls=np.array([u0]))
+    plan = ReferencePlan(x_ref=np.array([x_ref0, x_terminal]),
+                         x_terminal=x_terminal, p_platform=p_f,
+                         track_active=track_active)
+    return dec, plan
+
+
 def test_stage_cost_perfect_tracking(cfg):
     x = hover_state((0.3, -0.2, 1.5))
-    assert stage_cost(x, np.zeros(4), x, x[0:3], cfg, track_active=True) == 0.0
+    plan = _constant_plan(cfg, x[0:3], track_active=True)
+    dec = DecisionVector(states=plan.x_ref.copy(),
+                         controls=np.zeros((cfg.n, 4)))
+    assert total_cost(dec, plan, cfg) == 0.0
 
 
 def test_stage_cost_single_quadratic_term():
-    cfg = NmpcConfig(q=np.ones(12), r=np.ones(4), lam=np.zeros(3))
+    cfg = NmpcConfig(n=1, q=np.ones(12), r=np.ones(4), lam=np.zeros(3))
     x_r = hover_state((1.0, 2.0, 3.0))
     x = x_r.copy()
     x[0] += 1.0                       # unit error in p_x
-    assert stage_cost(x, np.zeros(4), x_r, x_r[0:3], cfg) == pytest.approx(1.0)
+    dec, plan = _one_stage(x, np.zeros(4), x_r, x_r, x_r, x_r[0:3], False)
+    assert total_cost(dec, plan, cfg) == pytest.approx(1.0)
 
 
-def test_stage_cost_platform_pull_term(cfg):
-    cfg.lam = np.array([2.0, 0.0, 0.0])
+def test_stage_cost_platform_pull_term():
+    cfg = NmpcConfig(n=1, lam=np.array([2.0, 0.0, 0.0]))
     x = hover_state((0.5, 0.0, 1.0))
     p_f = np.array([0.0, 0.0, 1.0])   # drone 0.5 m ahead of the anchor in x
-    base = stage_cost(x, np.zeros(4), x, p_f, cfg, track_active=False)
-    pulled = stage_cost(x, np.zeros(4), x, p_f, cfg, track_active=True)
+    base = total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, False), cfg)
+    pulled = total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, True), cfg)
     assert base == 0.0
     assert pulled == pytest.approx(2.0 * 0.25)
 
 
 def test_terminal_cost_zero_and_single_term():
-    cfg = NmpcConfig(q_terminal=10.0 * np.ones(12))
+    cfg = NmpcConfig(n=1, q_terminal=10.0 * np.ones(12))
     x_rf = hover_state((0.0, 0.0, 1.0))
-    assert terminal_cost(x_rf, x_rf, cfg) == 0.0
+    x0 = hover_state((0.0, 0.0, 2.0))
+    assert total_cost(*_one_stage(x0, np.zeros(4), x_rf, x0, x_rf, x_rf[0:3],
+                                  False), cfg) == 0.0
     x = x_rf.copy()
     x[4] += 1.0
-    assert terminal_cost(x, x_rf, cfg) == pytest.approx(10.0)
+    assert total_cost(*_one_stage(x0, np.zeros(4), x, x0, x_rf, x_rf[0:3],
+                                  False), cfg) == pytest.approx(10.0)
 
 
 def test_terminal_cost_is_stage_cost_with_swapped_weights(cfg):
+    # the terminal term with weights q_terminal equals a stage term whose
+    # q is q_terminal, every other term held at zero
     rng = np.random.default_rng(3)
     x = rng.normal(size=12)
     x_rf = rng.normal(size=12)
-    as_stage = NmpcConfig(q=cfg.q_terminal.copy(), r=np.zeros(4),
-                          lam=np.zeros(3))
-    assert terminal_cost(x, x_rf, cfg) == pytest.approx(
-        stage_cost(x, np.zeros(4), x_rf, np.zeros(3), as_stage), rel=1e-12)
+    x0 = rng.normal(size=12)
+    u0 = np.zeros(4)
+    as_terminal = NmpcConfig(n=1)
+    as_stage = NmpcConfig(n=1, q=cfg.q_terminal.copy(), r=np.zeros(4),
+                          lam=np.zeros(3), q_terminal=np.zeros(12))
+    terminal = total_cost(*_one_stage(x0, u0, x, x0, x_rf, x0[0:3], False),
+                          as_terminal)
+    stage = total_cost(*_one_stage(x, u0, x0, x_rf, x0, x0[0:3], False),
+                       as_stage)
+    assert terminal == pytest.approx(stage, rel=1e-12)
 
 
 def test_total_cost_zero_at_perfect_tracking(cfg):
@@ -108,10 +149,13 @@ def test_total_cost_horizon_one_reduces_to_stage_plus_terminal():
                          x_terminal=rng.normal(size=12),
                          p_platform=rng.normal(size=3),
                          track_active=True)
-    want = stage_cost(dec.states[0], dec.controls[0], plan.x_ref[0],
-                      plan.p_platform, cfg, track_active=True)
-    want += terminal_cost(dec.states[1], plan.x_terminal, cfg)
+    e0 = dec.states[0] - plan.x_ref[0]
+    dp = dec.states[0, 0:3] - plan.p_platform
+    eN = dec.states[1] - plan.x_terminal
+    want = (np.dot(cfg.q, e0 ** 2) + np.dot(cfg.r, dec.controls[0] ** 2)
+            + np.dot(cfg.lam, dp ** 2) + np.dot(cfg.q_terminal, eN ** 2))
     assert total_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
+    assert _naive_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
 
 
 def test_total_cost_matches_naive_loop(cfg):
@@ -124,12 +168,7 @@ def test_total_cost_matches_naive_loop(cfg):
                          p_platform=rng.normal(size=3),
                          v_platform=np.array([0.8, -0.3, 0.0]),
                          track_active=True)
-    want = 0.0
-    for k in range(cfg.n):
-        anchor = plan.p_platform + k * cfg.dt * plan.v_platform
-        want += stage_cost(dec.states[k], dec.controls[k], plan.x_ref[k],
-                           anchor, cfg, track_active=True)
-    want += terminal_cost(dec.states[cfg.n], plan.x_terminal, cfg)
+    want = _naive_cost(dec, plan, cfg)
     assert total_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
 
 
@@ -244,7 +283,9 @@ def test_cost_gradient_matches_central_differences(cfg):
                          p_platform=rng.normal(size=3),
                          v_platform=np.array([0.5, 0.2, 0.0]),
                          track_active=True)
-    g = cost_gradient(dec, plan, cfg)
+    c, g = _cost(dec.states, dec.controls, _plan_transcription(plan, cfg),
+                 cfg, grad=True)
+    assert c == total_cost(dec, plan, cfg)
     z = dec.flatten()
     # the objective is quadratic, so central differences are exact for any
     # step; a generous one keeps the cancellation noise far below tolerance
@@ -351,12 +392,12 @@ def test_banded_newton_step_matches_dense_reference(params, n, track_active,
         tr = solver._transcribe(z[:12], plan)
         lam_eq = rng.normal(0.0, 1.0, (n, 12))
         mu = rng.uniform(0.0, 5.0 * rho, (n, 2))
-        G, lin = solver._al_value_and_grad(z, tr, lam_eq, mu, rho, 0.0)[1:]
-        assert np.any(lin[3] > 0.0)     # some barrier is active
-        want, fixed = _dense_gn_step(solver, z, G, lin[0], lin[1], lb, ub,
+        ev = solver._evaluate(z, tr, lam_eq, mu, rho, 0.0, grad=True)
+        assert np.any(ev.w > 0.0)       # some barrier is active
+        want, fixed = _dense_gn_step(solver, z, ev.G, ev.Jx, ev.Ju, lb, ub,
                                      mu, rho, track_active)
         held += fixed[nx:].sum()
-        got = solver._gn_step(z, G, lin, lb, ub, rho, track_active)
+        got = solver._gn_step(z, ev, lb, ub, rho, track_active)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-6 * np.abs(want).max())
         assert np.all(got[fixed] == 0.0)
@@ -494,7 +535,72 @@ def test_solve_returns_best_iterate_when_not_converged(cfg, params):
     assert np.all(sol.u_apply <= tiny.u_max)
 
 
+def _certificate_case(case, params, monkeypatch):
+    """Solve one small obstacle problem so that it ends the way case names;
+    returns the solver, measured state and solution."""
+    ob = ObstacleSpec(center=(1.0, 0.0), radius=0.2)
+    cfg = {"converged": NmpcConfig(), "polished": NmpcConfig(),
+           "budget": NmpcConfig(max_outer=1, max_inner=2),
+           # the subproblem is already solved at entry, so no step is taken
+           "no_step": NmpcConfig(tol_stat=1e3, max_outer=1)}[case]
+    solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
+    x0 = hover_state((0.0, 0.01, 2.0))
+    plan = _constant_plan(cfg, (2.0, 0.0, 1.3))
+    warm = solver.solve(x0, plan).warm if case == "converged" else None
+    polished = []
+    polish = NmpcSolver._try_polish
+
+    def spy(self, z, *args):
+        out = polish(self, z, *args)
+        polished.append(None if out[0] is z else out[0])
+        return out
+
+    monkeypatch.setattr(NmpcSolver, "_try_polish", spy)
+    sol = solver.solve(x0, plan, warm=warm)
+    if case in ("converged", "polished"):
+        assert sol.converged
+    if case == "polished":
+        # the solve returns the polished iterate itself
+        assert polished[-1] is not None
+        assert sol.decision.flatten().tobytes() == polished[-1].tobytes()
+    if case == "budget":
+        assert not sol.converged
+        assert sol.inner_iterations == cfg.max_inner
+    if case == "no_step":
+        assert sol.inner_iterations == 0
+    return solver, x0, sol
+
+
+@pytest.mark.parametrize("case", ["converged", "polished", "budget",
+                                  "no_step"])
+def test_certificate_is_the_reference_evaluation(params, monkeypatch, case):
+    # the solver reports the defect norm, barrier residual and cost of the
+    # iterate it returns from its own last evaluation; they must be those
+    # of the reference constraint_eval and cost, bit for bit
+    solver, x0, sol = _certificate_case(case, params, monkeypatch)
+    ref = constraint_eval(sol.decision, x0, solver.cfg, solver.cbf_cfg,
+                          solver.params)
+    assert sol.defect_norm.hex() == ref.defect_norm.hex()
+    assert sol.min_cbf_residual.hex() == ref.min_cbf_residual.hex()
+    tr = solver._transcribe(x0, _constant_plan(solver.cfg, (2.0, 0.0, 1.3)))
+    assert sol.cost == _cost(sol.decision.states, sol.decision.controls, tr,
+                             solver.cfg)
+    if case == "no_step":
+        # one multiplier update from zero, with the reference defects
+        want = 0.0 - solver.cfg.penalty_init * ref.defects
+        assert sol.warm.lam_eq.tobytes() == want.tobytes()
+
+
 # -- config validation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", ["max_outer", "max_inner",
+                                    "max_inner_total"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_iteration_budget_below_one(budget, value):
+    with pytest.raises(ValueError, match="iteration budgets"):
+        NmpcConfig(**{budget: value})
+    NmpcConfig(**{budget: 1})
 
 
 def test_config_rejects_bad_horizon():
