@@ -3,12 +3,15 @@ byte-determinism contract."""
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import landersim
 from landersim.cli import main
 
 RUN_ARGS = ["run", "--scenario", "static_clear", "--trials", "2",
@@ -174,7 +177,11 @@ def test_console_script_installed():
 
 
 def test_module_invocation():
+    # the child imports the same landersim as the tests, installed or not
+    root = str(Path(landersim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     cp = subprocess.run([sys.executable, "-m", "landersim.cli", "validate",
                          "--scenario", "static_clear"],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True,
+                        env={**os.environ, "PYTHONPATH": path})
     assert cp.returncode == 0
