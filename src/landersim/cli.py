@@ -64,7 +64,11 @@ def _cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory: {e}", file=sys.stderr)
+        return 2
     logs = run_trials(sc)
     report = batch_report(sc, logs)
     for log in logs:
@@ -89,6 +93,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_gradients(args) -> int:
+    if args.points < 1 or not args.tol > 0 or args.seed < 0:
+        print("error: --points must be at least 1, --tol positive and "
+              "--seed non-negative", file=sys.stderr)
+        return 2
     try:
         sc = load_scenario(args.scenario)
     except ScenarioError as e:

@@ -13,8 +13,10 @@ Cheeseman-Bennett factor, capped at k_ge_max, with a smoothstep blend
 between the cap and the raw factor so the model is continuously
 differentiable in height (see ground_effect_multiplier).
 
-All functions here are pure; batched variants operate on stacked rows and
-are used by the optimizer's horizon evaluation.
+All functions here are pure. The model is written once: the batched
+variants evaluate it on stacked rows (the optimizer's horizon), and on one
+state (12,) the same expressions run on Python floats, bit-identical to a
+one-row batch and without numpy's per-call overhead (the RK4 plant).
 """
 
 from __future__ import annotations
@@ -130,10 +132,11 @@ def hover_control(params: QuadrotorParams) -> np.ndarray:
 
 def check_state(x: np.ndarray):
     """Raise SimulationFault for non-finite components or a singular attitude."""
-    if not np.all(np.isfinite(x)):
+    v = x.tolist()
+    if not all(map(math.isfinite, v)):
         raise SimulationFault("non-finite state component")
-    roll, pitch = x[6], x[7]
-    lim = np.pi / 2 - EULER_SINGULARITY_TOL
+    roll, pitch = v[6], v[7]
+    lim = math.pi / 2 - EULER_SINGULARITY_TOL
     if abs(roll) >= lim or abs(pitch) >= lim:
         raise SimulationFault(
             f"attitude outside the nonsingular range: roll={roll:.4f}, pitch={pitch:.4f}"
@@ -205,14 +208,13 @@ def derivative(x: np.ndarray, u: np.ndarray, params: QuadrotorParams,
     """
     x = np.asarray(x, dtype=float)
     check_state(x)
-    out = derivative_batch(x[None, :], np.asarray(u, dtype=float)[None, :],
-                           params, z_surface)[0]
-    return out
+    return derivative_batch(x, np.asarray(u, dtype=float), params, z_surface)
 
 
 def derivative_batch(X: np.ndarray, U: np.ndarray, params: QuadrotorParams,
                      z_surface: float = 0.0) -> np.ndarray:
-    """Vectorized derivative for stacked states (n,12) and controls (n,4)."""
+    """Derivative for stacked states (n,12) and controls (n,4), or for one
+    state (12,) and control (4,)."""
     return _derivative_batch(X, U, params, z_surface, False)
 
 
@@ -229,24 +231,34 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
 
 
 def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
-    """The vehicle model: f, and with jac also (A, B), over stacked rows.
-    Both public entry points run this one body, so f is the same bits
-    whether or not the Jacobians are asked for."""
-    roll, pitch, yaw = X[:, 6], X[:, 7], X[:, 8]
-    wx, wy, wz = X[:, 9], X[:, 10], X[:, 11]
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    tp = sp / cp
-
-    f_total = U.sum(axis=1)
+    """The vehicle model: f, and with jac also (A, B), over stacked rows
+    (n, 12) or one state (12,). Both public entry points run this one body,
+    so f is the same bits whether or not the Jacobians are asked for. One
+    state runs the same expressions on Python floats, which skips numpy's
+    per-call dispatch and gives the bits of a one-row batch."""
+    one = X.ndim == 1
     mixm = params.mix_matrix()
     tau = U @ mixm.T
-    k_ge = _ground_effect(X[:, 2], params, z_surface, grad=jac)
-    if jac:
-        k_ge, dk_dz = k_ge
+    if one:
+        _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.tolist()
+        cos, sin = math.cos, math.sin
+        f_total = sum(U.tolist())
+        k_ge = float(_ground_effect(pz, params, z_surface, grad=False))
+        t1, t2, t3 = tau.tolist()
+    else:
+        _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.T
+        cos, sin = np.cos, np.sin
+        f_total = U.sum(axis=1)
+        k_ge = _ground_effect(pz, params, z_surface, grad=jac)
+        if jac:
+            k_ge, dk_dz = k_ge
+        t1, t2, t3 = tau.T
+    cr, sr = cos(roll), sin(roll)
+    cp, sp = cos(pitch), sin(pitch)
+    cy, sy = cos(yaw), sin(yaw)
+    tp = sp / cp
     m = params.m
-    J1, J2, J3 = params.J
+    J1, J2, J3 = params.J.tolist()
 
     # world-frame body-z (thrust) axis for ZYX Euler angles
     ex = cy * sp * cr + sy * sr
@@ -254,18 +266,19 @@ def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
     ez = cp * cr
     thrust = f_total * k_ge / m
 
+    rows = [vx, vy, vz, thrust * ex, thrust * ey, thrust * ez - params.g,
+            # Euler-rate kinematics
+            # [1, sr*tp, cr*tp; 0, cr, -sr; 0, sr/cp, cr/cp] @ w
+            wx + sr * tp * wy + cr * tp * wz,
+            cr * wy - sr * wz,
+            (sr * wy + cr * wz) / cp,
+            (t1 - (J3 - J2) * wy * wz) / J1,
+            (t2 - (J1 - J3) * wx * wz) / J2,
+            (t3 - (J2 - J1) * wx * wy) / J3]
+    if one:
+        return np.array(rows)
     dX = np.empty_like(X)
-    dX[:, 0:3] = X[:, 3:6]
-    dX[:, 3] = thrust * ex
-    dX[:, 4] = thrust * ey
-    dX[:, 5] = thrust * ez - params.g
-    # Euler-rate kinematics [1, sr*tp, cr*tp; 0, cr, -sr; 0, sr/cp, cr/cp] @ w
-    dX[:, 6] = wx + sr * tp * wy + cr * tp * wz
-    dX[:, 7] = cr * wy - sr * wz
-    dX[:, 8] = (sr * wy + cr * wz) / cp
-    dX[:, 9] = (tau[:, 0] - (J3 - J2) * wy * wz) / J1
-    dX[:, 10] = (tau[:, 1] - (J1 - J3) * wx * wz) / J2
-    dX[:, 11] = (tau[:, 2] - (J2 - J1) * wx * wy) / J3
+    dX.T[...] = rows
     if not jac:
         return dX
 
@@ -321,6 +334,7 @@ def euler_step(x: np.ndarray, u: np.ndarray, dt: float, params: QuadrotorParams,
 
 def euler_step_batch(X: np.ndarray, U: np.ndarray, dt: float,
                      params: QuadrotorParams, z_surface: float = 0.0) -> np.ndarray:
+    """Euler step of stacked states (n,12) or of one state (12,)."""
     return X + dt * derivative_batch(X, U, params, z_surface)
 
 

@@ -88,6 +88,8 @@ class ScenarioConfig:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.trials < 1:
             raise ScenarioError("trials must be at least 1")
+        if self.seed < 0:
+            raise ScenarioError("seed must be non-negative")
         if self.timeout <= 0:
             raise ScenarioError("timeout must be positive")
         self.validate()

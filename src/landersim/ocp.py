@@ -720,8 +720,8 @@ class NmpcSolver:
         zp = z.copy()
         Xp = zp[:self._nx].reshape(n + 1, 12)
         for k in range(n):
-            Xp[k + 1] = euler_step_batch(Xp[k][None], U[k][None], cfg.dt,
-                                         self.params, z_surface)[0]
+            Xp[k + 1] = euler_step_batch(Xp[k], U[k], cfg.dt, self.params,
+                                         z_surface)
         if not np.all(np.isfinite(zp)) or np.any(zp < lb) or np.any(zp > ub):
             return z, ev
         evp = self._evaluate(zp, tr, lam_eq, mu, rho, z_surface)
@@ -814,8 +814,7 @@ class NmpcSolver:
         # if a forced value falls outside its box, admit it exactly instead
         # of leaving the stage infeasible -- the plant can overshoot the
         # planning envelope and the solver must still steer back from there
-        dx0 = derivative_batch(x_init[None], np.zeros((1, 4)), self.params,
-                               z_surface)[0]
+        dx0 = derivative_batch(x_init, np.zeros(4), self.params, z_surface)
         kin = np.array([0, 1, 2, 6, 7, 8])
         forced = x_init[kin] + cfg.dt * dx0[kin]
         lb[12 + kin] = np.minimum(lb[12 + kin], forced)

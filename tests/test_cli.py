@@ -137,6 +137,34 @@ def test_trials_override_validated(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_negative_seed_exits_two(tmp_path, capsys, where):
+    if where == "flag":
+        args = ["--scenario", "static_clear", "--seed", "-5"]
+    else:
+        sc = tmp_path / "neg.json"
+        sc.write_text(json.dumps({"name": "neg", "seed": -1}))
+        args = ["--scenario", str(sc)]
+    rc = main(["run", *args, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_path_that_is_a_file_exits_two(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output was checked")
+
+    monkeypatch.setattr("landersim.cli.run_trials", no_trials)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    rc = main(["run", "--scenario", "static_clear", "--trials", "1",
+               "--out", str(taken)])
+    assert rc == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+
+
 def test_noise_override_still_lands(tmp_path):
     rc = main(["run", "--scenario", "static_clear", "--trials", "1",
                "--noise", "mocap", "--out", str(tmp_path), "--assert"])
@@ -166,6 +194,17 @@ def test_check_gradients_tight_tol_fails(capsys):
                "--tol", "1e-14"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["--points", "0"], ["--points", "-3"],
+                                  ["--tol", "0"], ["--tol=-1e-5"],
+                                  ["--tol", "nan"], ["--seed", "-1"]])
+def test_check_gradients_rejects_invalid_options(capsys, args):
+    rc = main(["check-gradients", "--scenario", "static_obstacle", *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_console_script_installed():

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from landersim.dynamics import (
     ATT,
+    EULER_SINGULARITY_TOL,
     GE_BLEND_WIDTH,
     POS,
     RATE,
     VEL,
     QuadrotorParams,
     SimulationFault,
+    check_state,
     derivative,
     derivative_and_jacobians_batch,
     derivative_batch,
@@ -271,6 +273,62 @@ class TestDerivative:
         x[4] = np.nan
         with pytest.raises(SimulationFault):
             derivative(x, hover_control(p), p)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_state_raises(self, value):
+        x = hover_state((0, 0, 1))
+        x[10] = value
+        with pytest.raises(SimulationFault, match="non-finite"):
+            check_state(x)
+
+    @pytest.mark.parametrize("index", [6, 7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_attitude_limit_is_exclusive(self, index, sign):
+        lim = np.pi / 2 - EULER_SINGULARITY_TOL
+        x = hover_state((0, 0, 1))
+        x[index] = sign * np.nextafter(lim, 0.0)     # one ulp inside
+        check_state(x)
+        x[index] = sign * lim
+        with pytest.raises(SimulationFault, match="nonsingular range"):
+            check_state(x)
+
+
+class TestSingleStatePath:
+    """A single state runs the model on Python floats; it must give the
+    bits of the same state sent as a one-row batch, also inside the
+    ground-effect band."""
+
+    def draws(self, z_surface, n=120):
+        p = QuadrotorParams()
+        rng = np.random.default_rng(int(z_surface * 100) + 17)
+        for _ in range(n):
+            # heights from just below the surface to past the blend band
+            x = random_state(rng, z_surface - 0.02, z_surface + 0.1)
+            yield p, x, rng.uniform(0.0, 7.5, 4)
+
+    @pytest.mark.parametrize("z_surface", [0.0, 0.05, 0.3])
+    def test_derivative_and_euler_step_match_one_row_batch(self, z_surface):
+        for p, x, u in self.draws(z_surface):
+            np.testing.assert_array_equal(
+                derivative(x, u, p, z_surface),
+                derivative_batch(x[None], u[None], p, z_surface)[0])
+            np.testing.assert_array_equal(
+                euler_step_batch(x, u, 0.1, p, z_surface),
+                euler_step_batch(x[None], u[None], 0.1, p, z_surface)[0])
+
+    @pytest.mark.parametrize("z_surface", [0.0, 0.05, 0.3])
+    def test_rk4_matches_one_row_batch_stages(self, z_surface):
+        dt = 0.02
+        for p, x, u in self.draws(z_surface, n=40):
+            def f(y):
+                return derivative_batch(y[None], u[None], p, z_surface)[0]
+            k1 = f(x)
+            k2 = f(x + 0.5 * dt * k1)
+            k3 = f(x + 0.5 * dt * k2)
+            k4 = f(x + dt * k3)
+            want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.testing.assert_array_equal(rk4_step(x, u, dt, p, z_surface),
+                                          want)
 
 
 class TestIntegrators:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from landersim.cbf import CbfConfig, ObstacleSpec, barrier_value
-from landersim.dynamics import QuadrotorParams, euler_step, hover_control, hover_state
+from landersim.dynamics import (QuadrotorParams, euler_step, euler_step_batch,
+                                hover_control, hover_state)
 from landersim.ocp import (
     DecisionVector,
     NmpcConfig,
@@ -589,6 +590,30 @@ def test_certificate_is_the_reference_evaluation(params, monkeypatch, case):
         # one multiplier update from zero, with the reference defects
         want = 0.0 - solver.cfg.penalty_init * ref.defects
         assert sol.warm.lam_eq.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("z_surface", [0.0, 0.05, 0.3])
+def test_polish_rollout_matches_one_row_batch_steps(cfg, params, z_surface):
+    # the polish steps one 1-D state at a time; each step must be the bits
+    # of the same state stepped as a one-row batch, ground-effect band too
+    solver = NmpcSolver(cfg, CbfConfig(), params)
+    x0 = hover_state((0.0, 0.0, z_surface + 0.08))
+    plan = _constant_plan(cfg, (0.5, 0.0, z_surface))
+    rng = np.random.default_rng(4)
+    dec = DecisionVector(solver.cold_start(x0, plan).states,
+                         rng.uniform(cfg.u_min, cfg.u_max, (cfg.n, 4)))
+    z = dec.flatten()
+    free = np.full(z.size, np.inf)
+    tr = solver._transcribe(x0, plan)
+    zp, _ = solver._try_polish(z, None, -free, free, tr, np.zeros((cfg.n, 12)),
+                               np.zeros((cfg.n, 0)), cfg.penalty_init,
+                               z_surface)
+    X = dec.states.copy()
+    for k in range(cfg.n):
+        X[k + 1] = euler_step_batch(X[k][None], dec.controls[k][None], cfg.dt,
+                                    params, z_surface)[0]
+    assert zp is not z
+    assert zp[:X.size].tobytes() == X.tobytes()
 
 
 # -- config validation ---------------------------------------------------------
