@@ -153,20 +153,26 @@ def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
     the factor is finite and at most k_max, so the pole is never
     evaluated. The blend only runs when some height lies below
     z* + GE_BLEND_WIDTH; above that band it is the identity.
+
+    A Python float height runs the same expressions on floats, the bits of
+    the numpy path without its per-call overhead; max and min keep a NaN
+    height NaN as np.maximum and np.minimum do, since it comes first.
     """
     k_max, w, eps = params.k_ge_max, GE_BLEND_WIDTH, params.eps_ge
     c2 = (0.25 * params.r_rotor) ** 2
     zs = math.sqrt(c2 * k_max / (k_max - 1.0))      # z* + eps
-    zp = np.maximum(z + (eps - z_surface), max(zs, eps))
+    one = isinstance(z, float)
+    maximum, minimum = (max, min) if one else (np.maximum, np.minimum)
+    zp = maximum(z + (eps - z_surface), max(zs, eps))
     zp2 = zp * zp
     den = zp2 - c2
     k = zp2 / den
     if grad:
         dk = (-2.0 * c2) * zp / (den * den)
-    if zp.min() < zs + w:
+    if (zp if one else zp.min()) < zs + w:
         # t is exactly 0 at and below z* and exactly 1 above the band, so
         # the blend reproduces k_max and the raw factor bit for bit there
-        t = np.minimum((zp - zs) * (1.0 / w), 1.0)
+        t = minimum((zp - zs) * (1.0 / w), 1.0)
         sig = t * t * (3.0 - 2.0 * t)
         gap = k - k_max
         k = k_max + gap * sig
@@ -174,7 +180,7 @@ def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
             dk = (6.0 / w) * gap * t * (1.0 - t) + dk * sig
             if zs < eps:
                 # the band reaches below the surface, where k is flat in z
-                dk = dk * (np.asarray(z) >= z_surface)
+                dk = dk * (z >= z_surface)
     return (k, dk) if grad else k
 
 
@@ -243,7 +249,7 @@ def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
         _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.tolist()
         cos, sin = math.cos, math.sin
         f_total = sum(U.tolist())
-        k_ge = float(_ground_effect(pz, params, z_surface, grad=False))
+        k_ge = _ground_effect(pz, params, z_surface, grad=False)
         t1, t2, t3 = tau.tolist()
     else:
         _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.T

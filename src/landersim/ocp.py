@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 # cho_factor and cho_solve stay bound: perfbench/tracing.py patches them here
-from scipy.linalg import cho_factor, cho_solve, solveh_banded  # noqa: F401
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401
+from scipy.linalg.lapack import dpbsv
 
 from landersim.cbf import CbfConfig, barrier_value
 from landersim.dynamics import (
@@ -237,7 +238,8 @@ class WarmStart:
 @dataclass
 class OcpSolution:
     """Solve outcome. converged guarantees defect_norm <= 1e-4,
-    min_cbf_residual >= -1e-5, and exact box bounds on the iterate."""
+    min_cbf_residual >= -1e-5, and exact box bounds on the iterate. stop
+    names the exit: converged, budget, stall or outer_limit."""
 
     decision: DecisionVector
     u_apply: np.ndarray
@@ -249,6 +251,7 @@ class OcpSolution:
     inner_iterations: int
     converged: bool
     warm: WarmStart
+    stop: str
 
 
 class _Transcription(NamedTuple):
@@ -545,7 +548,12 @@ class NmpcSolver:
         defect penalty and keeps the outer-product part of the inequality
         penalty, so with the cost diagonal the matrix is positive definite.
         The blocks are summed into band storage and factored by band
-        Cholesky, so the cost is linear in the horizon."""
+        Cholesky, so the cost is linear in the horizon.
+
+        A coordinate the step carries past its bound is pinned at that
+        bound and the rest solved again, the pinned displacement moved to
+        the right-hand side, until nothing crosses (projected Newton,
+        Bertsekas 1982); z + step stays in the box."""
         cfg = self.cfg
         n = cfg.n
         G = ev.G
@@ -562,39 +570,57 @@ class NmpcSolver:
             M[:, 12:, 0:2] = -2.0 * (1.0 - self.cbf_cfg.gamma) * act * ev.diff[:n]
             M[:, 12:, 16:18] = 2.0 * act * ev.diff[1:]
         M *= fb[:, None, :]     # fixed coordinates drop out of every block
-        Hb = (rho * (M.transpose(0, 2, 1) @ M)).reshape(n, -1)
+        H = rho * (M.transpose(0, 2, 1) @ M)
+        Hb = H.reshape(n, -1)
         Hb[:, ::29] += self._cdiag[int(track_active)] * fb
         ab = np.bincount(self._band_at, weights=Hb[:, self._tri].ravel(),
                          minlength=28 * self._nz).reshape(28, self._nz)
         ab[0, ~free] = 1.0
         rhs = np.where(free, -G[self._perm], 0.0)
-        try:
-            sol = solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True,
-                                lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None
-        return sol[self._iperm] if np.all(np.isfinite(sol)) else None
+        zp, lo, hi = z[self._perm], lb[self._perm], ub[self._perm]
+        while True:     # each round pins one more coordinate at least
+            # LAPACK's band Cholesky solve, as scipy's solveh_banded calls
+            # it, without that wrapper's checks (ab is kept for the next round)
+            _, step, info = dpbsv(ab, rhs, lower=1)
+            if info != 0 or not np.all(np.isfinite(step)):
+                return None
+            to = zp + step
+            cross = (to > hi) | (to < lo)
+            if not cross.any():
+                return step[self._iperm]
+            pin = np.where(to > hi, hi, lo) - zp
+            # z + (b - z) can round past b; one ulp toward z keeps it inside
+            out = (zp + pin > hi) | (zp + pin < lo)
+            pin = np.where(cross, np.where(out, np.nextafter(pin, 0.0), pin), 0.0)
+            free &= ~cross
+            rhs -= free * np.bincount(self._blk.ravel(), minlength=self._nz,
+                                      weights=(H @ pin[self._blk, None]).ravel())
+            rhs[cross] = pin[cross]
+            # a pinned row and column of the band become the identity's
+            i, d = np.flatnonzero(cross), np.arange(28)[:, None]
+            ok = i >= d
+            ab[np.broadcast_to(d, ok.shape)[ok], (i - d)[ok]] = 0.0
+            ab[:, i] = 0.0
+            ab[0, i] = 1.0
 
     def _newton_step(self, z, ev, lb, ub, tr, lam_eq, mu, rho, z_surface,
-                     S, track_active, a0=1.0):
-        """One projected Gauss-Newton iteration: project the _gn_step step
-        into the box, backtrack on the augmented objective from step size
-        a0 against ev.L. Returns the accepted point, its evaluation and
-        step size, or None when the line search fails, which hands control
-        back to the spectral fallback."""
+                     track_active, a0=1.0):
+        """One projected Gauss-Newton iteration: backtrack along the
+        _gn_step step, which stays in the box, from step size a0, with
+        Armijo's test on its slope Gᵀstep. Returns the accepted point, its
+        evaluation and step size, or None when the step is no descent
+        direction or the line search fails, which hands control back to
+        the spectral fallback."""
         step = self._gn_step(z, ev, lb, ub, rho, track_active)
-        if step is None:
+        slope = 0.0 if step is None else float(ev.G @ step)
+        if not slope < 0.0:
             return None
         sigma = self.cfg.armijo_sigma
         a = a0
         for _ in range(25):
-            cand = np.clip(z + a * step, lb, ub)
-            dz = cand - z
-            ss = float(dz @ (S * dz))
-            if ss == 0.0:
-                return None
+            cand = z + a * step
             c = self._evaluate(cand, tr, lam_eq, mu, rho, z_surface)
-            if np.isfinite(c.L) and c.L <= ev.L - sigma * min(a, 1.0) * ss:
+            if np.isfinite(c.L) and c.L <= ev.L + sigma * a * slope:
                 return cand, c, a
             a *= 0.5
         return None
@@ -658,8 +684,7 @@ class NmpcSolver:
                 # monotone acceptance here: letting a Newton step ride the
                 # nonmonotone window sustains two-cycles across the barrier
                 # activation kink instead of damping them out
-                hit = self._newton_step(z, ev, lb, ub, *prob, S, track_active,
-                                        na)
+                hit = self._newton_step(z, ev, lb, ub, *prob, track_active, na)
                 if hit is None:
                     newton = False      # direction went bad; spectral from here
                 else:
@@ -830,13 +855,14 @@ class NmpcSolver:
             tol_inner = max(cfg.tol_stat, 1e-2)
         viol_last = np.inf
         total_inner = 0
-        converged = False
+        stop = "outer_limit"
         stall = 0
         self.last_inner_traces = []
         for outer in range(1, cfg.max_outer + 1):
             room = cfg.max_inner_total - total_inner
             if room <= 0:
-                break   # real-time budget exhausted; fly the best iterate
+                stop = "budget"     # real-time budget spent; fly the best iterate
+                break
             z, ev, pg, used, trace = self._inner(
                 z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol_inner,
                 min(cfg.max_inner, room), plan.track_active)
@@ -871,7 +897,7 @@ class NmpcSolver:
             gtol = cfg.tol_ineq + 0.5 * cfg.cbf_margin
             ineq_ok = (float(g.min()) >= -gtol) if g.size else True
             if feas_ok and ineq_ok and pg <= cfg.tol_stat:
-                converged = True
+                stop = "converged"
                 break
             # a solved subproblem that leaves the violation untouched for
             # several outers means the constraints are unattainable from this
@@ -884,6 +910,7 @@ class NmpcSolver:
                     and viol > 20.0 * cfg.tol_feas:
                 stall += 1
                 if stall >= 3:
+                    stop = "stall"
                     break
             else:
                 stall = 0
@@ -910,8 +937,9 @@ class NmpcSolver:
             min_cbf_residual=float(ev.r.min()) if ev.r.size else float("inf"),
             iterations=outer,
             inner_iterations=total_inner,
-            converged=converged,
+            converged=stop == "converged",
             warm=WarmStart(decision.copy(), lam_eq.copy(), mu.copy(), rho),
+            stop=stop,
         )
 
 

@@ -95,6 +95,18 @@ def test_tracking_cycles_rarely_exhaust_the_budget(batches):
     assert sum(hits.values()) <= 3, hits
 
 
+def test_obstacle_cycles_rarely_exhaust_the_budget(batches):
+    # regression guard for the box-feasible Newton step: a step clipped at
+    # a thrust bound used to stall APPROACH solves near the obstacle until
+    # the inner-iteration budget ran out (81 such cycles over these batches)
+    hits = {}
+    for name, (logs, _, _) in batches.items():
+        budget = load_scenario(name).nmpc.max_inner_total
+        hits[name] = sum(int(np.sum(lg.inner_iterations >= budget))
+                         for lg in logs)
+    assert sum(hits.values()) <= 40, hits
+
+
 def test_criterion_5_gradient_check(capsys, verdict):
     errs = {}
     for name in SCENARIOS:

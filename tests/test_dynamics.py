@@ -15,6 +15,7 @@ from landersim.dynamics import (
     VEL,
     QuadrotorParams,
     SimulationFault,
+    _ground_effect,
     check_state,
     derivative,
     derivative_and_jacobians_batch,
@@ -315,6 +316,21 @@ class TestSingleStatePath:
             np.testing.assert_array_equal(
                 euler_step_batch(x, u, 0.1, p, z_surface),
                 euler_step_batch(x[None], u[None], 0.1, p, z_surface)[0])
+
+    @pytest.mark.parametrize("z", [np.nan, 0.01, 1.0])
+    def test_ground_effect_on_a_float_matches_an_array(self, z):
+        # a NaN height (a polish row, which no check_state guards) must
+        # stay NaN on floats as through np.maximum
+        p = QuadrotorParams()
+        k, dk = _ground_effect(z, p)
+        assert type(k) is float and type(dk) is float
+        np.testing.assert_array_equal([k, dk],
+                                      [a[0] for a in _ground_effect(
+                                          np.array([z]), p)])
+        x = hover_state((0.0, 0.0, z))
+        u = np.full(4, 2.0)
+        np.testing.assert_array_equal(
+            derivative_batch(x, u, p), derivative_batch(x[None], u[None], p)[0])
 
     @pytest.mark.parametrize("z_surface", [0.0, 0.05, 0.3])
     def test_rk4_matches_one_row_batch_stages(self, z_surface):

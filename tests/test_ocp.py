@@ -332,7 +332,10 @@ def test_gradient_check_detects_corruption(cfg, params):
 def _dense_gn_step(solver, z, G, Jx, Ju, lb, ub, mu, rho, track_active):
     """Reference projected Gauss-Newton step: the full Hessian assembled as
     a dense matrix, one defect and one active barrier at a time, and
-    solved directly on the free coordinates."""
+    solved directly on the free coordinates. A free coordinate the step
+    carries past its bound is pinned at its distance to that bound and
+    the rest solved again, the pinned displacement moved into the
+    right-hand side, until nothing crosses."""
     cfg, gamma = solver.cfg, solver.cbf_cfg.gamma
     n, nx, nz = cfg.n, 12 * (cfg.n + 1), z.size
     X = z[:nx].reshape(n + 1, 12)
@@ -361,10 +364,20 @@ def _dense_gn_step(solver, z, G, Jx, Ju, lb, ub, mu, rho, track_active):
             H += rho * np.outer(v, v)
     fixed = (ub - lb <= 0.0) | ((z - lb <= 1e-9) & (G > 0.0)) \
         | ((ub - z <= 1e-9) & (G < 0.0))
-    free = np.nonzero(~fixed)[0]
+    free = ~fixed
+    pinned = np.zeros(nz, dtype=bool)
     step = np.zeros(nz)
-    step[free] = np.linalg.solve(H[np.ix_(free, free)], -G[free])
-    return step, fixed
+    while True:
+        f = np.nonzero(free)[0]
+        rhs = -G[f] - H[np.ix_(f, pinned)] @ step[pinned]
+        step[f] = np.linalg.solve(H[np.ix_(f, f)], rhs)
+        up = z + step > ub
+        cross = free & (up | (z + step < lb))
+        if not cross.any():
+            return step, fixed, pinned
+        step[cross] = np.where(up, ub, lb)[cross] - z[cross]
+        free &= ~cross
+        pinned |= cross
 
 
 @pytest.mark.parametrize("n", [1, 10, 40])
@@ -381,7 +394,7 @@ def test_banded_newton_step_matches_dense_reference(params, n, track_active,
                           v_platform=(0.5, 0.0, 0.0))
     rng = np.random.default_rng(n)
     nx = 12 * (n + 1)
-    held = 0
+    held = pins = 0
     for _ in range(4):
         z = _random_decision(solver, rng)
         # half the controls sit on a bound
@@ -395,14 +408,51 @@ def test_banded_newton_step_matches_dense_reference(params, n, track_active,
         mu = rng.uniform(0.0, 5.0 * rho, (n, 2))
         ev = solver._evaluate(z, tr, lam_eq, mu, rho, 0.0, grad=True)
         assert np.any(ev.w > 0.0)       # some barrier is active
-        want, fixed = _dense_gn_step(solver, z, ev.G, ev.Jx, ev.Ju, lb, ub,
-                                     mu, rho, track_active)
+        want, fixed, pinned = _dense_gn_step(solver, z, ev.G, ev.Jx, ev.Ju,
+                                             lb, ub, mu, rho, track_active)
         held += fixed[nx:].sum()
+        pins += pinned.sum()
         got = solver._gn_step(z, ev, lb, ub, rho, track_active)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-6 * np.abs(want).max())
         assert np.all(got[fixed] == 0.0)
+        # the step stays in the box; a pinned coordinate lands exactly on
+        # its bound wherever z + (b - z) rounds to b (else just inside)
+        to = z + got
+        assert np.all((lb <= to) & (to <= ub))
+        b = np.where(ub - to < to - lb, ub, lb)     # the nearer bound
+        exact = pinned & (z + (b - z) == b)
+        assert np.all(to[exact] == b[exact])
     assert held > 0                     # some control was held at its bound
+    assert pins > 0                     # and some coordinate was pinned
+
+
+def test_newton_step_holds_thrust_at_its_bound(cfg, params):
+    # a 2 m climb from an Euler rollout at 6 N per motor, deep in the
+    # penalty regime: the unconstrained step asks for about 10.6 N, past
+    # u_max. Pinned at 7.5 N, the step is taken whole
+    solver = NmpcSolver(cfg, CbfConfig(), params)
+    n = cfg.n
+    x0 = hover_state((0.0, 0.0, 1.0))
+    U = np.full((n, 4), 6.0)
+    X = np.empty((n + 1, 12))
+    X[0] = x0
+    for k in range(n):
+        X[k + 1] = euler_step(X[k], U[k], cfg.dt, params)
+    z = np.concatenate([X.ravel(), U.ravel()])
+    lb = solver._lb_template.copy()
+    ub = solver._ub_template.copy()
+    lb[:12] = ub[:12] = x0
+    tr = solver._transcribe(x0, _constant_plan(cfg, (0.0, 0.0, 3.0)))
+    prob = (tr, np.zeros((n, 12)), np.zeros((n, 0)), 1e4, 0.0)
+    ev = solver._evaluate(z, *prob, grad=True)
+    hit = solver._newton_step(z, ev, lb, ub, *prob, False)
+    assert hit is not None
+    z_new, new, a = hit
+    assert a == 1.0
+    assert z_new[12 * (n + 1):].max() == cfg.u_max
+    assert np.abs(new.d).max() < 0.01
+    assert new.L < ev.L
 
 
 # -- solving -------------------------------------------------------------------
@@ -414,9 +464,20 @@ def test_solve_hover_equilibrium(cfg, params):
     solver = NmpcSolver(cfg, CbfConfig(), params)
     sol = solver.solve(x0, plan)
     assert sol.converged
+    assert sol.stop == "converged"
     want = hover_control(params)
     np.testing.assert_allclose(sol.u_apply, want, rtol=0.01)
     assert sol.defect_norm <= 1e-4
+
+
+def test_solve_reports_budget_stop(params):
+    cfg = NmpcConfig(max_inner_total=1)
+    solver = NmpcSolver(cfg, CbfConfig(), params)
+    sol = solver.solve(hover_state((0.0, 0.0, 1.0)),
+                       _constant_plan(cfg, (1.0, 0.5, 1.5)))
+    assert sol.stop == "budget"
+    assert not sol.converged
+    assert sol.inner_iterations == 1
 
 
 def test_solve_avoids_obstacle_between(cfg, params):
