@@ -21,6 +21,7 @@ one-row batch and without numpy's per-call overhead (the RK4 plant).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +43,15 @@ GE_BLEND_WIDTH = 0.02
 class SimulationFault(RuntimeError):
     """The state left the validity envelope of the model (singular attitude
     or non-finite components). Raised instead of silently clamping."""
+
+
+@functools.lru_cache(maxsize=8)
+def _mix_matrix(lx, ly, kt) -> np.ndarray:
+    mixm = np.array([[-ly, ly, ly, -ly],
+                     [-lx, lx, -lx, lx],
+                     [kt, kt, -kt, -kt]])
+    mixm.flags.writeable = False
+    return mixm
 
 
 @dataclass
@@ -79,15 +89,9 @@ class QuadrotorParams:
             raise ValueError("k_ge_max must exceed 1")
 
     def mix_matrix(self) -> np.ndarray:
-        """Signed torque mixing matrix, rows (roll, pitch, yaw)."""
-        lx, ly, kt = self.l_x, self.l_y, self.k_t
-        return np.array(
-            [
-                [-ly, ly, ly, -ly],
-                [-lx, lx, -lx, lx],
-                [kt, kt, -kt, -kt],
-            ]
-        )
+        """Signed torque mixing matrix, rows (roll, pitch, yaw). Built once
+        per (l_x, l_y, k_t) and shared, so it is read-only."""
+        return _mix_matrix(self.l_x, self.l_y, self.k_t)
 
     def hover_thrust(self) -> float:
         """Per-motor thrust that balances gravity exactly (no ground effect)."""
@@ -144,9 +148,10 @@ def check_state(x: np.ndarray):
 
 
 def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
-                   grad: bool = True):
-    """k_GE, and d k_GE / d z if grad, in one pass over heights z above a
-    surface at z_surface (see ground_effect_multiplier).
+                   grad: int = 1):
+    """k_GE and its first grad height derivatives (grad 0, 1 or 2), in one
+    pass over heights z above a surface at z_surface (see
+    ground_effect_multiplier): k, (k, dk) or (k, dk, d2k).
 
     The raw factor is written as zp^2 / (zp^2 - (r/4)^2) with zp the
     height over the surface plus eps, clamped to at least z* + eps, where
@@ -168,7 +173,10 @@ def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
     den = zp2 - c2
     k = zp2 / den
     if grad:
-        dk = (-2.0 * c2) * zp / (den * den)
+        den2 = den * den
+        dk = (-2.0 * c2) * zp / den2
+    if grad > 1:
+        d2k = (2.0 * c2) * (3.0 * zp2 + c2) / (den2 * den)
     if (zp if one else zp.min()) < zs + w:
         # t is exactly 0 at and below z* and exactly 1 above the band, so
         # the blend reproduces k_max and the raw factor bit for bit there
@@ -176,12 +184,20 @@ def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
         sig = t * t * (3.0 - 2.0 * t)
         gap = k - k_max
         k = k_max + gap * sig
+        if grad > 1:
+            # sig' = 6 tt / w; sig'' = 6 (1 - 2t) / w^2 only inside the
+            # band, where tt > 0: outside it t is clamped and sig is flat
+            tt = t * (1.0 - t)
+            d2k = (6.0 / (w * w)) * gap * (1.0 - 2.0 * t) * (tt > 0.0) \
+                + (12.0 / w) * dk * tt + d2k * sig
         if grad:
             dk = (6.0 / w) * gap * t * (1.0 - t) + dk * sig
             if zs < eps:
                 # the band reaches below the surface, where k is flat in z
                 dk = dk * (z >= z_surface)
-    return (k, dk) if grad else k
+                if grad > 1:
+                    d2k = d2k * (z >= z_surface)
+    return (k, dk, d2k) if grad > 1 else (k, dk) if grad else k
 
 
 def ground_effect_multiplier(z_r, params: QuadrotorParams):
@@ -193,7 +209,7 @@ def ground_effect_multiplier(z_r, params: QuadrotorParams):
     factor; in between a smoothstep blends the two, so k is monotone and
     continuously differentiable in z_r. Accepts scalars or arrays.
     """
-    k = _ground_effect(z_r, params, grad=False)
+    k = _ground_effect(z_r, params, grad=0)
     return float(k) if np.ndim(z_r) == 0 else k
 
 
@@ -229,15 +245,18 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
                                    z_surface: float = 0.0):
     """derivative_batch and its analytic Jacobians in one pass.
 
-    Returns (f, A, B) with f (n,12), A (n,12,12) = df/dx and B (n,12,4) =
-    df/du. The height column A[:, 3:6, 2] carries the ground-effect slope:
-    zero at and below the saturation height z*, continuous through the
-    blend band."""
+    Returns (f, A, B, Czz) with f (n,12), A (n,12,12) = df/dx, B (n,12,4)
+    = df/du and Czz (n,3) = d A[:, 3:6, 2] / dz. The height column
+    A[:, 3:6, 2] carries the ground-effect slope: zero at and below the
+    saturation height z*, continuous through the blend band. Czz is that
+    column's own height derivative, from d2k/dz2: zero where k is
+    clamped, large inside the band. The solver's Newton matrix keeps
+    its positive part."""
     return _derivative_batch(X, U, params, z_surface, True)
 
 
 def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
-    """The vehicle model: f, and with jac also (A, B), over stacked rows
+    """The vehicle model: f, and with jac also (A, B, Czz), over stacked rows
     (n, 12) or one state (12,). Both public entry points run this one body,
     so f is the same bits whether or not the Jacobians are asked for. One
     state runs the same expressions on Python floats, which skips numpy's
@@ -249,15 +268,15 @@ def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
         _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.tolist()
         cos, sin = math.cos, math.sin
         f_total = sum(U.tolist())
-        k_ge = _ground_effect(pz, params, z_surface, grad=False)
+        k_ge = _ground_effect(pz, params, z_surface, grad=0)
         t1, t2, t3 = tau.tolist()
     else:
         _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.T
         cos, sin = np.cos, np.sin
         f_total = U.sum(axis=1)
-        k_ge = _ground_effect(pz, params, z_surface, grad=jac)
+        k_ge = _ground_effect(pz, params, z_surface, grad=2 * jac)
         if jac:
-            k_ge, dk_dz = k_ge
+            k_ge, dk_dz, d2k_dz2 = k_ge
         t1, t2, t3 = tau.T
     cr, sr = cos(roll), sin(roll)
     cp, sp = cos(pitch), sin(pitch)
@@ -292,10 +311,9 @@ def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
     sec2 = 1.0 / (cp * cp)
     A = np.zeros((n, 12, 12))
     A[:, 0, 3] = A[:, 1, 4] = A[:, 2, 5] = 1.0
-    fg = f_total * dk_dz / m
-    A[:, 3, 2] = fg * ex
-    A[:, 4, 2] = fg * ey
-    A[:, 5, 2] = fg * ez
+    E = np.stack([ex, ey, ez], axis=1)      # thrust axis, (n, 3)
+    A[:, 3:6, 2] = (f_total * dk_dz / m)[:, None] * E
+    Czz = (f_total * d2k_dz2 / m)[:, None] * E
     A[:, 3, 6] = thrust * (-cy * sp * sr + sy * cr)
     A[:, 4, 6] = thrust * (-sy * sp * sr - cy * cr)
     A[:, 5, 6] = thrust * (-cp * sr)
@@ -324,12 +342,9 @@ def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
     A[:, 11, 10] = -(J2 - J1) * wx / J3
 
     B = np.zeros((n, 12, 4))
-    ke_m = k_ge / m
-    B[:, 3, :] = (ke_m * ex)[:, None]
-    B[:, 4, :] = (ke_m * ey)[:, None]
-    B[:, 5, :] = (ke_m * ez)[:, None]
+    B[:, 3:6, :] = ((k_ge / m)[:, None] * E)[:, :, None]
     B[:, 9:12, :] = (mixm / params.J[:, None])[None, :, :]
-    return dX, A, B
+    return dX, A, B, Czz
 
 
 def euler_step(x: np.ndarray, u: np.ndarray, dt: float, params: QuadrotorParams,

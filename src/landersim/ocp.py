@@ -8,10 +8,12 @@ U[0..N-1], flattened into one vector. Dynamics enter as equality defects
 
 and obstacle avoidance as barrier decay inequalities per stage and obstacle.
 The solver is an augmented-Lagrangian outer loop (shifted quadratic penalty
-for the inequalities) around a projected Gauss-Newton inner loop with a
-spectral projected-gradient fallback on the box constraints. X[0] is pinned
-to the measured state through the box bounds, so the pin is exact at every
-iterate.
+for the inequalities) around a projected Newton inner loop with a spectral
+projected-gradient fallback on the box constraints. The Newton matrix is
+Gauss-Newton plus the positive part of the one second-order term that
+matters near touchdown: the ground-effect curvature of the thrust in the
+node heights. X[0] is pinned to the measured state through the box bounds,
+so the pin is exact at every iterate.
 
 The problem is evaluated once per iterate, by NmpcSolver._evaluate: cost,
 defects, decay residuals and augmented objective, plus the gradient and
@@ -349,8 +351,9 @@ class _Eval(NamedTuple):
     dynamics defects d (N, 12), raw decay residuals r and tightened ones
     g = r - floor (N, n_obs), and, with obstacles, the node-to-obstacle
     position differences diff (N+1, n_obs, 2) and barrier penalty weights
-    w (N, n_obs). A gradient pass adds the gradient G and the dynamics
-    Jacobians Jx, Ju that the Newton step reuses."""
+    w (N, n_obs). A gradient pass adds the gradient G, the dynamics
+    Jacobians Jx, Ju and the clipped ground-effect curvature hz (N,) of
+    each node's height, which the Newton step reuses."""
 
     L: float
     cost: float
@@ -362,6 +365,7 @@ class _Eval(NamedTuple):
     G: np.ndarray | None = None
     Jx: np.ndarray | None = None
     Ju: np.ndarray | None = None
+    hz: np.ndarray | None = None
 
 
 def shift_warm_start(prev: DecisionVector) -> DecisionVector:
@@ -496,8 +500,8 @@ class NmpcSolver:
         X, U = self._views(z)
         if grad:
             cost, G = _cost(X, U, tr, cfg, grad=True)
-            f, Jx, Ju = derivative_and_jacobians_batch(X[:n], U, self.params,
-                                                       z_surface)
+            f, Jx, Ju, Czz = derivative_and_jacobians_batch(
+                X[:n], U, self.params, z_surface)
             # the value pass's grouping X[1:] - (X[:n] + dt f) differs from
             # this one in the last bits; the solver's iterates depend on each
             # pass keeping its own, so the two are not unified
@@ -523,6 +527,9 @@ class NmpcSolver:
         GU = G[self._nx:].reshape(n, 4)
         v = rho * d - lam_eq
         GX[1:] += v
+        # v . d2(defect)/dz_k^2, clipped at zero: the ground-effect
+        # curvature the Newton matrix keeps
+        hz = np.maximum(0.0, -cfg.dt * np.einsum("ij,ij->i", v[:, 3:6], Czz))
         # A = I + dt J_x, B = dt J_u; defect depends on X[k], U[k] via -A, -B
         vc = v[:, :, None]
         GX[:n] -= v + cfg.dt * np.matmul(Jx.transpose(0, 2, 1), vc)[:, :, 0]
@@ -532,23 +539,26 @@ class NmpcSolver:
             GX[1:, 0:2] -= 2.0 * np.sum(ev.w[:, :, None] * ev.diff[1:], axis=1)
             GX[:n, 0:2] += 2.0 * (1.0 - self.cbf_cfg.gamma) * np.sum(
                 ev.w[:, :, None] * ev.diff[:n], axis=1)
-        return ev._replace(G=G, Jx=Jx, Ju=Ju)
+        return ev._replace(G=G, Jx=Jx, Ju=Ju, hz=hz)
 
-    # -- inner loop: projected Gauss-Newton with spectral fallback ---------
+    # -- inner loop: projected Newton with spectral fallback ---------------
 
     def _gn_step(self, z, ev, lb, ub, rho, track_active):
-        """Projected Gauss-Newton direction at the gradient pass ev: zero on
+        """Projected Newton direction at the gradient pass ev: zero on
         the coordinates fixed at a bound the gradient pushes against, the
         solution of the normal equations on the rest; None if the
         factorization fails.
 
         Stage k contributes rho MᵀM over (x_k, u_k, x_k+1), where M stacks
         the defect Jacobian [I + dt Jx, dt Ju, -I] over one gradient row
-        per active barrier on (x_k[0:2], x_k+1[0:2]). That is exact for the
-        defect penalty and keeps the outer-product part of the inequality
-        penalty, so with the cost diagonal the matrix is positive definite.
-        The blocks are summed into band storage and factored by band
-        Cholesky, so the cost is linear in the horizon.
+        per active barrier on (x_k[0:2], x_k+1[0:2]): the Gauss-Newton
+        part of the defect and inequality penalties. x_k's height diagonal
+        also gets ev.hz, the defect penalty's second-order term through the
+        ground-effect curvature, v . d2(d_k)/dz_k^2 with v = rho d - lam,
+        clipped at zero (Messerer, Baumgaertner & Diehl 2021). With the cost
+        diagonal the matrix stays positive definite. The blocks are summed
+        into band storage and factored by band Cholesky, so the cost is
+        linear in the horizon.
 
         A coordinate the step carries past its bound is pinned at that
         bound and the rest solved again, the pinned displacement moved to
@@ -573,6 +583,7 @@ class NmpcSolver:
         H = rho * (M.transpose(0, 2, 1) @ M)
         Hb = H.reshape(n, -1)
         Hb[:, ::29] += self._cdiag[int(track_active)] * fb
+        Hb[:, 58] += ev.hz * fb[:, 2]   # x_k's height on the diagonal
         ab = np.bincount(self._band_at, weights=Hb[:, self._tri].ravel(),
                          minlength=28 * self._nz).reshape(28, self._nz)
         ab[0, ~free] = 1.0
@@ -605,7 +616,7 @@ class NmpcSolver:
 
     def _newton_step(self, z, ev, lb, ub, tr, lam_eq, mu, rho, z_surface,
                      track_active, a0=1.0):
-        """One projected Gauss-Newton iteration: backtrack along the
+        """One projected Newton iteration: backtrack along the
         _gn_step step, which stays in the box, from step size a0, with
         Armijo's test on its slope Gᵀstep. Returns the accepted point, its
         evaluation and step size, or None when the step is no descent

@@ -95,6 +95,18 @@ def test_tracking_cycles_rarely_exhaust_the_budget(batches):
     assert sum(hits.values()) <= 3, hits
 
 
+def test_touchdown_solves_rarely_run_long(batches):
+    # regression guard for the ground-effect curvature in the Newton
+    # matrix: without it, 86 TRACK/DESCEND solves over these batches took
+    # 20 or more inner iterations (42 with it)
+    long = {}
+    for name, (logs, _, _) in batches.items():
+        long[name] = sum(
+            int(np.sum((lg.inner_iterations >= 20) & np.isin(
+                lg.phases, ("TRACK", "DESCEND")))) for lg in logs)
+    assert sum(long.values()) <= 60, long
+
+
 def test_obstacle_cycles_rarely_exhaust_the_budget(batches):
     # regression guard for the box-feasible Newton step: a step clipped at
     # a thrust bound used to stall APPROACH solves near the obstacle until

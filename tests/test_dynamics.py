@@ -56,6 +56,16 @@ class TestMix:
         assert u.sum() == pytest.approx(p.m * p.g)
         np.testing.assert_allclose(p.mix_matrix() @ u, 0.0, atol=1e-12)
 
+    def test_matrix_is_shared_read_only_and_follows_the_geometry(self):
+        p = QuadrotorParams()
+        M = p.mix_matrix()
+        assert M is QuadrotorParams().mix_matrix()
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        p.l_x = 0.2                     # the params are mutable
+        assert p.mix_matrix()[1, 1] == 0.2
+        assert M[1, 1] == 0.12
+
     @given(st.lists(st.floats(-5, 5), min_size=8, max_size=8),
            st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, vals, a, b):
@@ -188,7 +198,7 @@ class TestGroundEffectBlend:
         X[:, 2] = z_surface + saturation_height(p) \
             + GE_BLEND_WIDTH * np.linspace(0.15, 0.85, n)
         U = rng.uniform(0.5, 7.0, (n, 4))
-        _, A, _ = derivative_and_jacobians_batch(X, U, p, z_surface)
+        _, A, _, _ = derivative_and_jacobians_batch(X, U, p, z_surface)
         h = 1e-7
         e = np.zeros(12)
         e[2] = h
@@ -197,6 +207,60 @@ class TestGroundEffectBlend:
         assert np.all(A[:, 5, 2] < 0.0)
         np.testing.assert_allclose(A[:, 3:6, 2], fd[:, 3:6], rtol=1e-6,
                                    atol=1e-7)
+
+    @staticmethod
+    def straddling_heights(p, z_surface):
+        """One batch below (clamped), inside and above the band, clear of
+        the knots, where the curvature is not smooth."""
+        z0 = saturation_height(p)
+        return z_surface + np.concatenate([
+            [-0.05, 0.0, 0.5 * z0],
+            z0 + GE_BLEND_WIDTH * np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
+            z0 + GE_BLEND_WIDTH + np.array([3e-3, 0.05, 0.5])])
+
+    @pytest.mark.parametrize("z_surface", [0.0, 0.3])
+    def test_curvature_matches_fd_across_band(self, z_surface):
+        # evaluated as one batch, so rows above the band see the blend
+        # branch that rows inside it open
+        p = QuadrotorParams()
+        z = self.straddling_heights(p, z_surface)
+        _, dk, d2k = _ground_effect(z, p, z_surface, grad=2)
+        np.testing.assert_array_equal(dk, _ground_effect(z, p, z_surface)[1])
+        h = 1e-6
+        fd = (_ground_effect(z + h, p, z_surface)[1]
+              - _ground_effect(z - h, p, z_surface)[1]) / (2 * h)
+        np.testing.assert_allclose(d2k, fd, rtol=1e-7, atol=1e-9)
+        assert np.abs(d2k[3:8]).max() > 1e3     # the band is sharply curved
+        # above the band, the raw factor's curvature bit for bit
+        np.testing.assert_array_equal(
+            d2k[-3:], _ground_effect(z[-3:], p, z_surface, grad=2)[2])
+
+    def test_curvature_zero_where_clamped(self):
+        p = QuadrotorParams()
+        z = self.straddling_heights(p, 0.0)[:3]
+        assert np.all(_ground_effect(z, p, grad=2)[2] == 0.0)
+        small = QuadrotorParams(r_rotor=0.02)    # band below the surface
+        z = np.array([-0.1, -1e-3, 0.005])
+        d2k = _ground_effect(z, small, grad=2)[2]
+        assert np.all(d2k[:2] == 0.0) and d2k[2] != 0.0
+
+    @pytest.mark.parametrize("z_surface", [0.0, 0.3])
+    def test_jacobian_height_curvature(self, z_surface):
+        p = QuadrotorParams()
+        rng = np.random.default_rng(9)
+        z = self.straddling_heights(p, z_surface)
+        X = np.stack([random_state(rng) for _ in z])
+        X[:, 2] = z
+        U = rng.uniform(0.5, 7.0, (z.size, 4))
+        _, _, _, Czz = derivative_and_jacobians_batch(X, U, p, z_surface)
+        h = 1e-6
+        e = np.zeros(12)
+        e[2] = h
+        fd = (derivative_and_jacobians_batch(X + e, U, p, z_surface)[1]
+              - derivative_and_jacobians_batch(X - e, U, p, z_surface)[1]
+              )[:, 3:6, 2] / (2 * h)
+        np.testing.assert_allclose(Czz, fd, rtol=1e-6, atol=1e-6)
+        assert np.all(Czz[:3] == 0.0)
 
 
 class TestDerivative:
@@ -427,8 +491,8 @@ class TestJacobians:
             # keep clear of the ground-effect clamp kink
             x = random_state(rng, z_lo=z_surface + 0.12, z_hi=z_surface + 2.5)
             u = rng.uniform(0.5, 7.0, 4)
-            _, A, B = derivative_and_jacobians_batch(x[None], u[None], p,
-                                                     z_surface)
+            _, A, B, _ = derivative_and_jacobians_batch(x[None], u[None], p,
+                                                        z_surface)
             A_fd, B_fd = self.fd_jacobians(x, u, p, z_surface)
             np.testing.assert_allclose(A[0], A_fd, atol=2e-6)
             np.testing.assert_allclose(B[0], B_fd, atol=2e-6)
@@ -437,7 +501,7 @@ class TestJacobians:
         p = QuadrotorParams()
         x = hover_state((0, 0, 0.1))
         u = hover_control(p)
-        _, A, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
+        _, A, _, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
         A_fd, _ = self.fd_jacobians(x, u, p, 0.0)
         assert A[0, 5, 2] < -1.0    # thrust gain falls off with height
         assert A[0, 5, 2] == pytest.approx(A_fd[5, 2], rel=1e-4)
@@ -446,7 +510,7 @@ class TestJacobians:
         p = QuadrotorParams()
         x = hover_state((0, 0, 0.02))
         u = hover_control(p)
-        _, A, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
+        _, A, _, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
         assert A[0, 5, 2] == 0.0
 
 

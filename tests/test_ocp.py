@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from landersim.cbf import CbfConfig, ObstacleSpec, barrier_value
-from landersim.dynamics import (QuadrotorParams, euler_step, euler_step_batch,
-                                hover_control, hover_state)
+from landersim.dynamics import (QuadrotorParams,
+                                derivative_and_jacobians_batch, euler_step,
+                                euler_step_batch, hover_control, hover_state,
+                                make_state)
+from landersim.harness import load_scenario
 from landersim.ocp import (
     DecisionVector,
     NmpcConfig,
@@ -23,6 +26,7 @@ from landersim.ocp import (
     shift_warm_start,
     total_cost,
 )
+from landersim.platform import LandingPhase, build_reference_plan
 
 
 @pytest.fixture
@@ -329,16 +333,28 @@ def test_gradient_check_detects_corruption(cfg, params):
 # -- Newton step ----------------------------------------------------------------
 
 
-def _dense_gn_step(solver, z, G, Jx, Ju, lb, ub, mu, rho, track_active):
-    """Reference projected Gauss-Newton step: the full Hessian assembled as
-    a dense matrix, one defect and one active barrier at a time, and
-    solved directly on the free coordinates. A free coordinate the step
-    carries past its bound is pinned at its distance to that bound and
-    the rest solved again, the pinned displacement moved into the
+def _dense_gn_step(solver, z, G, Jx, Ju, lb, ub, lam_eq, mu, rho,
+                   track_active, z_surface):
+    """Reference projected Newton step: the full Hessian assembled as a
+    dense matrix, one defect and one active barrier at a time, and solved
+    directly on the free coordinates. Besides the Gauss-Newton terms, each
+    x_k height gets the defect penalty's ground-effect curvature
+    v_k . d2(d_k)/dz_k^2, v = rho d - lam_eq, clipped at zero, from central
+    differences of the Jacobian's height column. A free coordinate the
+    step carries past its bound is pinned at its distance to that bound
+    and the rest solved again, the pinned displacement moved into the
     right-hand side, until nothing crosses."""
     cfg, gamma = solver.cfg, solver.cbf_cfg.gamma
     n, nx, nz = cfg.n, 12 * (cfg.n + 1), z.size
     X = z[:nx].reshape(n + 1, 12)
+    U = z[nx:].reshape(n, 4)
+    v = rho * (X[1:] - euler_step_batch(X[:n], U, cfg.dt, solver.params,
+                                        z_surface)) - lam_eq
+    h = 1e-6
+    Ah = [derivative_and_jacobians_batch(X[:n] + s * h * np.eye(12)[2], U,
+                                         solver.params, z_surface)[1]
+          for s in (1.0, -1.0)]
+    curv = -cfg.dt * np.sum(v * (Ah[0] - Ah[1])[:, :, 2], axis=1) / (2 * h)
     diag = np.empty(nz)
     dX = diag[:nx].reshape(n + 1, 12)
     dX[:n] = 2.0 * cfg.q
@@ -346,6 +362,7 @@ def _dense_gn_step(solver, z, G, Jx, Ju, lb, ub, mu, rho, track_active):
         dX[:n, 0:3] += 2.0 * cfg.lam
     dX[n] = 2.0 * cfg.q_terminal
     diag[nx:] = np.tile(2.0 * cfg.r, n)
+    dX[:n, 2] += np.maximum(curv, 0.0)
     H = np.diag(diag)
     diff = X[:, None, 0:2] - solver._centers[None]
     h = np.sum(diff ** 2, axis=2) - solver._rsafe2
@@ -380,11 +397,10 @@ def _dense_gn_step(solver, z, G, Jx, Ju, lb, ub, mu, rho, track_active):
         pinned |= cross
 
 
-@pytest.mark.parametrize("n", [1, 10, 40])
-@pytest.mark.parametrize("track_active", [False, True])
-@pytest.mark.parametrize("rho", [10.0, 1e3])
-def test_banded_newton_step_matches_dense_reference(params, n, track_active,
-                                                    rho):
+def _check_banded_step(params, n, track_active, rho, z_surface=0.0):
+    """The banded step against _dense_gn_step at four random iterates,
+    half their controls on a bound. With z_surface every node height sits
+    in the ground-effect blend band or just above it."""
     cfg = NmpcConfig(n=n)
     cbf = CbfConfig(gamma=0.4, obstacles=[
         ObstacleSpec(center=(0.5, 0.0), radius=0.3),
@@ -394,9 +410,11 @@ def test_banded_newton_step_matches_dense_reference(params, n, track_active,
                           v_platform=(0.5, 0.0, 0.0))
     rng = np.random.default_rng(n)
     nx = 12 * (n + 1)
-    held = pins = 0
+    held = pins = curved = 0
     for _ in range(4):
         z = _random_decision(solver, rng)
+        if z_surface:
+            z[2:nx:12] = z_surface + np.linspace(0.045, 0.075, n + 1)
         # half the controls sit on a bound
         at_bound = rng.random(4 * n) < 0.5
         z[nx:][at_bound] = rng.choice([cfg.u_min, cfg.u_max], at_bound.sum())
@@ -406,10 +424,12 @@ def test_banded_newton_step_matches_dense_reference(params, n, track_active,
         tr = solver._transcribe(z[:12], plan)
         lam_eq = rng.normal(0.0, 1.0, (n, 12))
         mu = rng.uniform(0.0, 5.0 * rho, (n, 2))
-        ev = solver._evaluate(z, tr, lam_eq, mu, rho, 0.0, grad=True)
+        ev = solver._evaluate(z, tr, lam_eq, mu, rho, z_surface, grad=True)
         assert np.any(ev.w > 0.0)       # some barrier is active
+        curved += np.sum(ev.hz > 0.0)
         want, fixed, pinned = _dense_gn_step(solver, z, ev.G, ev.Jx, ev.Ju,
-                                             lb, ub, mu, rho, track_active)
+                                             lb, ub, lam_eq, mu, rho,
+                                             track_active, z_surface)
         held += fixed[nx:].sum()
         pins += pinned.sum()
         got = solver._gn_step(z, ev, lb, ub, rho, track_active)
@@ -425,6 +445,21 @@ def test_banded_newton_step_matches_dense_reference(params, n, track_active,
         assert np.all(to[exact] == b[exact])
     assert held > 0                     # some control was held at its bound
     assert pins > 0                     # and some coordinate was pinned
+    assert curved > 0                   # some height carried curvature
+
+
+@pytest.mark.parametrize("n", [1, 10, 40])
+@pytest.mark.parametrize("track_active", [False, True])
+@pytest.mark.parametrize("rho", [10.0, 1e3])
+def test_banded_newton_step_matches_dense_reference(params, n, track_active,
+                                                    rho):
+    _check_banded_step(params, n, track_active, rho)
+
+
+@pytest.mark.parametrize("n", [10, 40])
+@pytest.mark.parametrize("rho", [10.0, 1e3])
+def test_banded_newton_step_in_ground_effect_band(params, n, rho):
+    _check_banded_step(params, n, True, rho, z_surface=0.3)
 
 
 def test_newton_step_holds_thrust_at_its_bound(cfg, params):
@@ -478,6 +513,20 @@ def test_solve_reports_budget_stop(params):
     assert sol.stop == "budget"
     assert not sol.converged
     assert sol.inner_iterations == 1
+
+
+def test_touchdown_solve_converges_in_ground_effect_band():
+    # a cold DESCEND solve whose last nodes sit in the ground-effect blend
+    # band over a 0.3 m surface. Without the band's curvature in the
+    # Newton matrix it spends its whole 70-iteration budget; with it, it
+    # converges in 27
+    sc = load_scenario("static_clear")
+    x0 = make_state(pos=(2.0, 0.0, 0.52), vel=(0.0, 0.0, -0.4))
+    plan = build_reference_plan(LandingPhase.DESCEND, (2.0, 0.0, 0.3),
+                                np.zeros(3), 0.0, sc.nmpc, sc.thresholds, 2.1)
+    sol = NmpcSolver(sc.nmpc, sc.cbf, sc.params).solve(x0, plan,
+                                                        z_surface=0.3)
+    assert sol.stop == "converged", (sol.stop, sol.inner_iterations)
 
 
 def test_solve_avoids_obstacle_between(cfg, params):
