@@ -43,11 +43,6 @@ class ObstacleSpec:
         return {"center": list(self.center), "radius": self.radius,
                 "margin": self.margin}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObstacleSpec":
-        return cls(center=tuple(d["center"]), radius=float(d["radius"]),
-                   margin=float(d.get("margin", 0.3)))
-
 
 @dataclass
 class CbfConfig:
@@ -86,13 +81,6 @@ def barrier_values_all(xy, cfg: CbfConfig) -> np.ndarray:
     xy = np.asarray(xy, dtype=float)
     vals = [np.atleast_1d(barrier_value(xy, ob)) for ob in cfg.obstacles]
     return np.stack(vals, axis=-1)
-
-
-def min_barrier_value(xy, cfg: CbfConfig) -> float:
-    """Worst-case h over the obstacle set at a single point; +inf if empty."""
-    if not cfg.obstacles:
-        return float("inf")
-    return float(min(barrier_value(xy, ob) for ob in cfg.obstacles))
 
 
 def decay_envelope(h0: float, gamma: float, k) -> np.ndarray:

@@ -11,7 +11,7 @@ per-motor thrusts [u1, u2, u3, u4] in newtons.
 Vertical thrust is scaled by a ground-effect multiplier: the
 Cheeseman-Bennett factor, capped at k_ge_max, with a smoothstep blend
 between the cap and the raw factor so the model is continuously
-differentiable in height (see ground_effect_multiplier).
+differentiable in height (see _ground_effect).
 
 All functions here are pure. The model is written once: the batched
 variants evaluate it on stacked rows (the optimizer's horizon), and on one
@@ -72,7 +72,6 @@ class QuadrotorParams:
     eps_ge: float = 0.01
     k_ge_max: float = 1.5
     g: float = 9.81
-    z_ground: float = 0.0
 
     def __post_init__(self):
         self.J = np.asarray(self.J, dtype=float)
@@ -97,24 +96,6 @@ class QuadrotorParams:
         """Per-motor thrust that balances gravity exactly (no ground effect)."""
         return self.m * self.g / 4.0
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "l_x": self.l_x,
-            "l_y": self.l_y,
-            "k_t": self.k_t,
-            "J": list(map(float, self.J)),
-            "r_rotor": self.r_rotor,
-            "eps_ge": self.eps_ge,
-            "k_ge_max": self.k_ge_max,
-            "g": self.g,
-            "z_ground": self.z_ground,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadrotorParams":
-        return cls(**{k: (np.array(v) if k == "J" else v) for k, v in d.items()})
-
 
 def make_state(pos=(0.0, 0.0, 0.0), vel=(0.0, 0.0, 0.0), att=(0.0, 0.0, 0.0),
                rate=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -124,10 +105,6 @@ def make_state(pos=(0.0, 0.0, 0.0), vel=(0.0, 0.0, 0.0), att=(0.0, 0.0, 0.0),
     x[ATT] = att
     x[RATE] = rate
     return x
-
-
-def hover_state(pos, yaw: float = 0.0) -> np.ndarray:
-    return make_state(pos=pos, att=(0.0, 0.0, yaw))
 
 
 def hover_control(params: QuadrotorParams) -> np.ndarray:
@@ -149,9 +126,16 @@ def check_state(x: np.ndarray):
 
 def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
                    grad: int = 1):
-    """k_GE and its first grad height derivatives (grad 0, 1 or 2), in one
-    pass over heights z above a surface at z_surface (see
-    ground_effect_multiplier): k, (k, dk) or (k, dk, d2k).
+    """Thrust multiplier k_GE in [1, k_ge_max] at heights z above a surface
+    at z_surface, and its first grad height derivatives (grad 0, 1 or 2),
+    in one pass: k, (k, dk) or (k, dk, d2k). Accepts a float or an array.
+
+    The raw Cheeseman-Bennett factor 1 / (1 - (r / (4 (zr + eps)))^2),
+    with zr = max(z - z_surface, 0), reaches k_ge_max at z* and diverges
+    below it. Below z* the multiplier is k_ge_max; above z* +
+    GE_BLEND_WIDTH it is the raw factor; in between a smoothstep blends
+    the two, so k is monotone and continuously differentiable in z. dk is
+    zero at and below z* and below the surface.
 
     The raw factor is written as zp^2 / (zp^2 - (r/4)^2) with zp the
     height over the surface plus eps, clamped to at least z* + eps, where
@@ -198,26 +182,6 @@ def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
                 if grad > 1:
                     d2k = d2k * (z >= z_surface)
     return (k, dk, d2k) if grad > 1 else (k, dk) if grad else k
-
-
-def ground_effect_multiplier(z_r, params: QuadrotorParams):
-    """Thrust multiplier k_GE in [1, k_ge_max] near a surface.
-
-    The raw Cheeseman-Bennett factor 1 / (1 - (r / (4 (z + eps)))^2), with
-    z = max(z_r, 0), reaches k_ge_max at z* and diverges below it. Below z*
-    the multiplier is k_ge_max; above z* + GE_BLEND_WIDTH it is the raw
-    factor; in between a smoothstep blends the two, so k is monotone and
-    continuously differentiable in z_r. Accepts scalars or arrays.
-    """
-    k = _ground_effect(z_r, params, grad=0)
-    return float(k) if np.ndim(z_r) == 0 else k
-
-
-def ground_effect_gradient(z_r, params: QuadrotorParams):
-    """d k_GE / d z_r: continuous, zero at and below z* and below the
-    surface, the raw factor's slope above z* + GE_BLEND_WIDTH."""
-    dk = _ground_effect(z_r, params)[1]
-    return float(dk) if np.ndim(z_r) == 0 else dk
 
 
 def derivative(x: np.ndarray, u: np.ndarray, params: QuadrotorParams,

@@ -166,12 +166,6 @@ class ScenarioConfig:
         return cls.from_dict(d)
 
 
-def builtin_scenario_names() -> list:
-    root = resources.files("landersim") / "scenarios"
-    return sorted(p.name[:-5] for p in root.iterdir()
-                  if p.name.endswith(".json"))
-
-
 def load_scenario(spec: str) -> ScenarioConfig:
     """Load a scenario from a JSON file path or a builtin scenario name."""
     root = resources.files("landersim") / "scenarios"
@@ -184,17 +178,15 @@ def load_scenario(spec: str) -> ScenarioConfig:
 # -- metrics -------------------------------------------------------------------
 
 
-def final_point_error(log: TrialLog, three_d: bool = False) -> float:
-    """Distance in centimeters between the touchdown position and the
-    platform center at touchdown. Horizontal by default: the vertical
-    offset at touchdown is fixed by the platform surface. three_d measures
-    the full Euclidean distance for sensitivity checks."""
+def final_point_error(log: TrialLog) -> float:
+    """Horizontal distance in centimeters between the touchdown position
+    and the platform center at touchdown: the vertical offset at touchdown
+    is fixed by the platform surface."""
     if log.terminal is None:
         raise ValueError("trial has no terminal record (did not land)")
     drone = np.asarray(log.terminal["drone_position"], dtype=float)
     plat = np.asarray(log.terminal["platform_position"], dtype=float)
-    n = 3 if three_d else 2
-    return float(np.linalg.norm(drone[:n] - plat[:n]) * 100.0)
+    return float(np.linalg.norm(drone[:2] - plat[:2]) * 100.0)
 
 
 @dataclass
@@ -212,14 +204,10 @@ class TrialResult:
     solve_ms_mean: float = field(default=None, compare=False)
     solve_ms_max: float = field(default=None, compare=False)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {"seed": self.seed, "failed": self.failed,
-             "fpe_cm": self.fpe_cm, "touchdown_time": self.touchdown_time,
-             "min_h": self.min_h, "failure_reason": self.failure_reason}
-        if include_timing:
-            d["solve_ms_mean"] = self.solve_ms_mean
-            d["solve_ms_max"] = self.solve_ms_max
-        return d
+    def to_dict(self) -> dict:
+        return {"seed": self.seed, "failed": self.failed,
+                "fpe_cm": self.fpe_cm, "touchdown_time": self.touchdown_time,
+                "min_h": self.min_h, "failure_reason": self.failure_reason}
 
 
 def trial_result(log: TrialLog) -> TrialResult:
@@ -275,12 +263,12 @@ class BatchReport:
         vals = [r.min_h for r in self.results if r.min_h is not None]
         return float(np.min(vals)) if vals else None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
             "base_seed": self.base_seed,
             "trials": self.n_trials,
-            "results": [r.to_dict(include_timing) for r in self.results],
+            "results": [r.to_dict() for r in self.results],
             "aggregates": {
                 "n_success": self.n_success,
                 "success_rate": self.success_rate,
@@ -294,22 +282,6 @@ class BatchReport:
         """Canonical JSON: sorted keys, fixed layout, no timing. Identical
         batches therefore serialize to identical bytes."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BatchReport":
-        results = [TrialResult(
-            seed=r["seed"], failed=r["failed"], fpe_cm=r["fpe_cm"],
-            touchdown_time=r["touchdown_time"], min_h=r["min_h"],
-            failure_reason=r.get("failure_reason", ""),
-            solve_ms_mean=r.get("solve_ms_mean"),
-            solve_ms_max=r.get("solve_ms_max"),
-        ) for r in d["results"]]
-        return cls(scenario=d["scenario"], base_seed=d["base_seed"],
-                   results=results)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BatchReport":
-        return cls.from_dict(json.loads(text))
 
 
 def run_trials(scenario: ScenarioConfig, trials: int = None,

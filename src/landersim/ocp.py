@@ -228,13 +228,18 @@ class WarmStart:
     rho: float
 
     def shifted(self) -> "WarmStart":
-        dec = shift_warm_start(self.decision)
+        """Receding-horizon shift: drop stage 0, duplicate the tail."""
+        prev = self.decision
+        X = np.roll(prev.states, -1, axis=0)
+        X[-1] = prev.states[-1]
+        U = np.roll(prev.controls, -1, axis=0)
+        U[-1] = prev.controls[-1]
         lam = np.roll(self.lam_eq, -1, axis=0)
         lam[-1] = self.lam_eq[-1]
         mu = np.roll(self.mu_ineq, -1, axis=0)
         if mu.shape[0]:
             mu[-1] = self.mu_ineq[-1]
-        return WarmStart(dec, lam, mu, self.rho)
+        return WarmStart(DecisionVector(X, U), lam, mu, self.rho)
 
 
 @dataclass
@@ -368,15 +373,6 @@ class _Eval(NamedTuple):
     hz: np.ndarray | None = None
 
 
-def shift_warm_start(prev: DecisionVector) -> DecisionVector:
-    """Receding-horizon shift: drop stage 0, duplicate the tail."""
-    X = np.roll(prev.states, -1, axis=0)
-    X[-1] = prev.states[-1]
-    U = np.roll(prev.controls, -1, axis=0)
-    U[-1] = prev.controls[-1]
-    return DecisionVector(X, U)
-
-
 class NmpcSolver:
     """Augmented-Lagrangian solver for one receding-horizon problem.
 
@@ -443,7 +439,6 @@ class NmpcSolver:
         self._mrow = np.full((n, max(self._centers.shape[0], 1)),
                              cfg.cbf_margin)
         self._mrow[0] = 0.0
-        self.last_inner_traces = []
 
     # -- problem evaluation over the flat vector -------------------------
 
@@ -665,8 +660,7 @@ class NmpcSolver:
                track_active):
         """Minimize the augmented objective over the box from z. Returns
         the last iterate and its value-pass evaluation, the
-        projected-gradient residual, the iterations used and the trace of
-        objective values."""
+        projected-gradient residual and the iterations used."""
         sigma = self.cfg.armijo_sigma
         prob = (tr, lam_eq, mu, rho, z_surface)
         ev = entry = self._evaluate(z, *prob, grad=True)
@@ -677,7 +671,6 @@ class NmpcSolver:
         alpha = 1.0
         na = 1.0
         used = 0
-        trace = [ev.L]
         # nonmonotone reference: accept against the worst of the last few
         # values so full spectral steps survive more often
         hist = [ev.L]
@@ -730,7 +723,6 @@ class NmpcSolver:
             if sy > 1e-14:
                 alpha = min(max(float(s @ (S * s)) / sy, 1e-4), 1e4)
             z, ev = z_new, new
-            trace.append(ev.L)
             hist.append(ev.L)
             if len(hist) > 8:
                 hist.pop(0)
@@ -740,7 +732,7 @@ class NmpcSolver:
             # gradient way, the multiplier update and certificate need the
             # value pass's
             ev = self._evaluate(z, *prob)
-        return z, ev, pg, used, trace
+        return z, ev, pg, used
 
     # -- outer loop -------------------------------------------------------
 
@@ -805,8 +797,8 @@ class NmpcSolver:
 
     def solve(self, x_init, plan: ReferencePlan, warm=None,
               z_surface: float = 0.0) -> OcpSolution:
-        """Solve one horizon. warm may be a WarmStart bundle, a plain
-        DecisionVector, or None for a cold start."""
+        """Solve one horizon. warm is a WarmStart bundle, or None for a
+        cold start."""
         cfg = self.cfg
         n = cfg.n
         x_init = np.asarray(x_init, dtype=float)
@@ -828,7 +820,7 @@ class NmpcSolver:
         lam_eq = np.zeros((n, 12))
         mu = np.zeros((n, n_obs))
         rho = cfg.penalty_init
-        if isinstance(warm, WarmStart):
+        if warm is not None:
             dec = warm.decision
             lam_eq = warm.lam_eq.copy()
             mu = warm.mu_ineq.copy()
@@ -836,8 +828,6 @@ class NmpcSolver:
             # information, and restarting deep in the penalty regime makes
             # the first subproblems needlessly stiff
             rho = min(warm.rho, 0.01 * cfg.penalty_max)
-        elif isinstance(warm, DecisionVector):
-            dec = warm
         else:
             dec = self.cold_start(x_init, plan)
 
@@ -860,7 +850,7 @@ class NmpcSolver:
 
         # with carried multipliers the iterate is already near-optimal, so
         # open at the certifying tolerance instead of the crude cold schedule
-        if isinstance(warm, WarmStart):
+        if warm is not None:
             tol_inner = cfg.tol_stat
         else:
             tol_inner = max(cfg.tol_stat, 1e-2)
@@ -868,17 +858,15 @@ class NmpcSolver:
         total_inner = 0
         stop = "outer_limit"
         stall = 0
-        self.last_inner_traces = []
         for outer in range(1, cfg.max_outer + 1):
             room = cfg.max_inner_total - total_inner
             if room <= 0:
                 stop = "budget"     # real-time budget spent; fly the best iterate
                 break
-            z, ev, pg, used, trace = self._inner(
+            z, ev, pg, used = self._inner(
                 z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol_inner,
                 min(cfg.max_inner, room), plan.track_active)
             total_inner += used
-            self.last_inner_traces.append(trace)
             # multipliers update at the subproblem solution, where the
             # first-order theory places them; the polish below only swaps
             # the iterate for an exactly-feasible equivalent and must not
@@ -956,6 +944,9 @@ class NmpcSolver:
 
 # -- gradient verification -------------------------------------------------
 
+# central-difference step of gradient_check
+_FD_STEP = 1e-6
+
 
 @dataclass
 class GradientCheckReport:
@@ -992,15 +983,10 @@ def _random_decision(solver: NmpcSolver, rng) -> np.ndarray:
 
 
 def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
-                   step: float = 1e-6, tol: float = 1e-5, seed: int = 0,
-                   z_surface: float = 0.0,
-                   corruption: float = 0.0) -> GradientCheckReport:
+                   tol: float = 1e-5, seed: int = 0) -> GradientCheckReport:
     """Compare the analytic augmented-objective gradient against central
-    differences at random interior points with random multipliers.
-
-    corruption inflates the largest analytic gradient entry by that
-    fraction; nonzero values exist to prove the check can fail.
-    """
+    differences of step _FD_STEP at random interior points with random
+    multipliers, over a surface at height 0."""
     rng = np.random.default_rng(seed)
     n = solver.cfg.n
     n_obs = solver._centers.shape[0]
@@ -1013,20 +999,16 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
         lam_eq = rng.normal(0.0, 1.0, (n, 12))
         mu = np.abs(rng.normal(0.0, 1.0, (n, n_obs)))
         rho = 10.0
-        args = (tr, lam_eq, mu, rho, z_surface)
+        args = (tr, lam_eq, mu, rho, 0.0)
         G = solver._evaluate(z, *args, grad=True).G
-        if corruption:
-            j = int(np.abs(G).argmax())
-            G = G.copy()
-            G[j] *= 1.0 + corruption
         G_fd = np.empty_like(G)
         for j in range(z.size):
             zp = z.copy()
-            zp[j] += step
+            zp[j] += _FD_STEP
             zm = z.copy()
-            zm[j] -= step
+            zm[j] -= _FD_STEP
             G_fd[j] = (solver._evaluate(zp, *args).L
-                       - solver._evaluate(zm, *args).L) / (2.0 * step)
+                       - solver._evaluate(zm, *args).L) / (2.0 * _FD_STEP)
         denom = max(1.0, float(np.abs(G_fd).max()))
         err = np.abs(G - G_fd) / denom
         j = int(err.argmax())

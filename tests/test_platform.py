@@ -14,7 +14,6 @@ from landersim.platform import (
     PlatformModel,
     build_reference_plan,
     descent_reference,
-    phase_sequence_matches,
     platform_state_at,
     update_phase,
 )
@@ -281,30 +280,3 @@ def test_reference_plan_approach_not_tracking(thr):
                                 cfg, thr)
     assert not plan.track_active
 
-
-# -- phase sequence invariant ----------------------------------------------------
-
-
-def test_phase_sequence_accepts_clean_landing():
-    seq = (["APPROACH"] * 3 + ["TRACK"] * 8 + ["DESCEND"] * 20
-           + ["TOUCHDOWN"] + ["LANDED"] * 5)
-    assert phase_sequence_matches(seq)
-
-
-def test_phase_sequence_accepts_abort_loop():
-    seq = (["APPROACH", "TRACK", "DESCEND", "DESCEND", "TRACK", "TRACK",
-            "DESCEND", "TOUCHDOWN", "LANDED"])
-    assert phase_sequence_matches(seq)
-
-
-def test_phase_sequence_rejects_skips_and_regressions():
-    assert not phase_sequence_matches(["APPROACH", "DESCEND", "TOUCHDOWN",
-                                       "LANDED"])
-    assert not phase_sequence_matches(["APPROACH", "TRACK", "DESCEND",
-                                       "LANDED"])
-    assert not phase_sequence_matches(["APPROACH", "TRACK", "TOUCHDOWN",
-                                       "LANDED"])
-    assert not phase_sequence_matches(["TRACK", "DESCEND", "TOUCHDOWN",
-                                       "LANDED"])
-    assert not phase_sequence_matches(["APPROACH", "TRACK", "DESCEND",
-                                       "TOUCHDOWN", "LANDED", "APPROACH"])

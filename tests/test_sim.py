@@ -4,6 +4,8 @@ model-consistency oracle with the plant forced onto the prediction model."""
 import csv
 import dataclasses
 import io
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from landersim import sim
 from landersim.dynamics import SimulationFault
 from landersim.harness import load_scenario, run_trials
 from landersim.ocp import NmpcSolver, SolverDiverged
-from landersim.platform import PlatformModel, phase_sequence_matches
-from landersim.sim import (NOISE_PRESETS, NoiseSigmas, TrialLog,
-                           _surface_under, add_state_noise, noise_preset,
+from landersim.platform import PlatformModel
+from landersim.sim import (NOISE_PRESETS, NoiseSigmas, _surface_under,
+                           add_state_noise, noise_preset,
                            perturb_initial_state, run_closed_loop)
 
 
@@ -116,8 +118,13 @@ def test_terminal_record_shape(static_log):
 
 
 def test_phase_sequence_is_wellformed(static_log, obstacle_log):
-    assert phase_sequence_matches(static_log.phases)
-    assert phase_sequence_matches(obstacle_log.phases)
+    # run-length compressed, a completed trial reads
+    # APPROACH TRACK (DESCEND TRACK)* DESCEND TOUCHDOWN LANDED
+    letter = {"APPROACH": "A", "TRACK": "T", "DESCEND": "D",
+              "TOUCHDOWN": "C", "LANDED": "L"}
+    for log in (static_log, obstacle_log):
+        runs = "".join(letter[ph] for ph, _ in itertools.groupby(log.phases))
+        assert re.fullmatch(r"AT(DT)*DCL", runs), runs
 
 
 def test_plant_freezes_after_touchdown(static_log):
@@ -201,9 +208,7 @@ def test_min_h_semantics(static_log, obstacle_log):
 
 def test_summary_timing_flag(static_log):
     with_t = static_log.summary_dict()
-    without = static_log.summary_dict(include_timing=False)
     assert "solve_ms_mean" in with_t and "solve_ms_max" in with_t
-    assert "solve_ms_mean" not in without and "solve_ms_max" not in without
 
 
 def test_noisy_trial_still_lands():
