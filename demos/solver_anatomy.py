@@ -26,8 +26,7 @@ solver = NmpcSolver(cfg, cbf, params)
 x0 = make_state(pos=(0.0, 0.01, 2.0))
 target = make_state(pos=(2.0, 0.0, 1.3))
 plan = ReferencePlan(x_ref=np.tile(target, (cfg.n + 1, 1)),
-                     x_terminal=target,
-                     p_platform=np.array([2.0, 0.0, 0.3]))
+                     x_terminal=target)
 
 t0 = time.perf_counter()
 sol = solver.solve(x0, plan)

@@ -50,38 +50,44 @@ def _default_q():
     return np.array([10.0, 10.0, 10.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 0.5, 0.5, 0.5])
 
 
-def _default_x_min():
-    b = np.full(12, -np.inf)
-    b[2] = 0.0          # stay at or above the ground plane
-    b[3:6] = -3.0       # per-axis velocity limit
-    b[6:8] = -0.6       # roll/pitch envelope; yaw free
-    return b
-
-
-def _default_x_max():
-    b = np.full(12, np.inf)
-    b[3:6] = 3.0
-    b[6:8] = 0.6
-    return b
+# state box: height at or above the ground plane, a 3 m/s per-axis velocity
+# limit and a 0.6 rad roll/pitch envelope; position, yaw and rates are free
+_X_MIN = np.array([-np.inf, -np.inf, 0.0] + [-3.0] * 3 + [-0.6] * 2
+                  + [-np.inf] * 4)
+_X_MAX = np.array([np.inf] * 3 + [3.0] * 3 + [0.6] * 2 + [np.inf] * 4)
+# augmented-Lagrangian penalty: initial weight, growth factor on stagnation,
+# and cap
+_PENALTY_INIT = 10.0
+_PENALTY_GROWTH = 5.0
+_PENALTY_MAX = 1e6
+# feasibility a converged solve certifies: the largest defect, and how far
+# a tightened decay residual may sit below zero
+_TOL_FEAS = 5e-5
+_TOL_INEQ = 1e-6
+# sufficient-decrease factor of both line searches
+_ARMIJO_SIGMA = 1e-4
+# tightening of the barrier-decay constraint inside the solver, so the
+# continuous-time plant, which cuts corners relative to the Euler
+# prediction, still clears the nominal boundary
+_CBF_MARGIN = 0.05
+# largest defect the rollout polish may close
+_POLISH_GATE = 2e-3
+# reference and anchor positions are clipped to the cone reachable at this
+# speed from the measured state before transcription. Far-away setpoints
+# otherwise make the penalty subproblems badly conditioned (nodes chase the
+# reference across the dynamics constraint); the governed problem has the
+# same fixed points once the target is within reach
+_REF_GOVERNOR_SPEED = 2.0
 
 
 @dataclass
 class NmpcConfig:
-    """Horizon, weights, bounds, and solver budgets.
+    """Horizon, weights, control bounds, and solver budgets.
 
     The diagonal weight vectors q, r, q_terminal multiply squared errors
     elementwise. lam weighs the squared distance of predicted position to
-    the platform anchor; callers enable it only while tracking or
-    descending. cbf_margin tightens the barrier-decay constraint inside
-    the solver so the continuous-time plant, which cuts corners relative
-    to the Euler prediction, still clears the nominal boundary.
-
-    ref_governor_speed clips reference and anchor positions to a cone
-    reachable at that speed from the measured state before transcription.
-    Far-away setpoints otherwise make the penalty subproblems badly
-    conditioned (nodes chase the reference across the dynamics constraint);
-    the governed problem has the same fixed points once the target is
-    within reach. Set to None or inf to disable.
+    the platform anchors of a plan that carries them. tol_stat is the
+    stationarity tolerance a converged solve certifies.
 
     max_inner_total bounds the summed inner iterations of one solve call.
     It is the real-time budget: deployments that must meet a cycle
@@ -98,29 +104,16 @@ class NmpcConfig:
     lam: np.ndarray = field(default_factory=lambda: np.array([20.0, 20.0, 20.0]))
     u_min: float = 0.0
     u_max: float = 7.5
-    x_min: np.ndarray = field(default_factory=_default_x_min)
-    x_max: np.ndarray = field(default_factory=_default_x_max)
     max_outer: int = 20
     max_inner: int = 100
     max_inner_total: int = 400
-    penalty_init: float = 10.0
-    penalty_growth: float = 5.0
-    penalty_max: float = 1e6
-    tol_feas: float = 5e-5
     tol_stat: float = 5e-4
-    tol_ineq: float = 1e-6
-    armijo_sigma: float = 1e-4
-    cbf_margin: float = 0.05
-    ref_governor_speed: float = 2.0
-    polish_gate: float = 2e-3
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
         self.q_terminal = np.asarray(self.q_terminal, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
-        self.x_min = np.asarray(self.x_min, dtype=float)
-        self.x_max = np.asarray(self.x_max, dtype=float)
         if self.n < 1:
             raise ValueError("horizon must be at least 1")
         if self.dt <= 0:
@@ -130,33 +123,32 @@ class NmpcConfig:
         for w in (self.q, self.r, self.q_terminal, self.lam):
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
-        if self.u_min > self.u_max or np.any(self.x_min > self.x_max):
+        if self.u_min > self.u_max:
             raise ValueError("bounds must be ordered")
 
 
 @dataclass
 class ReferencePlan:
-    """Per-stage reference states plus the platform anchor.
+    """Per-stage reference states plus the platform anchors.
 
-    x_ref has N+1 rows; row k is the desired state at stage k. p_platform
-    and v_platform give the anchor for the positional pull term, advanced
-    by k*dt per stage so a moving platform is chased at its own velocity
-    rather than at its current position. track_active turns that term on.
+    x_ref has N+1 rows; row k is the desired state at stage k. anchors,
+    (N, 3), are the per-stage points the positional pull term draws the
+    predicted position to, or None while tracking is off.
     """
 
     x_ref: np.ndarray
     x_terminal: np.ndarray
-    p_platform: np.ndarray
-    v_platform: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    track_active: bool = False
+    anchors: np.ndarray | None = None
 
     def __post_init__(self):
         self.x_ref = np.asarray(self.x_ref, dtype=float)
         self.x_terminal = np.asarray(self.x_terminal, dtype=float)
-        self.p_platform = np.asarray(self.p_platform, dtype=float)
-        self.v_platform = np.asarray(self.v_platform, dtype=float)
         if self.x_ref.ndim != 2 or self.x_ref.shape[1] != 12:
             raise ValueError("x_ref must be (N+1, 12)")
+        if self.anchors is not None:
+            self.anchors = np.asarray(self.anchors, dtype=float)
+            if self.anchors.shape != (self.n, 3):
+                raise ValueError("anchors must be (N, 3)")
 
     @property
     def n(self) -> int:
@@ -256,48 +248,38 @@ class OcpSolution:
     min_cbf_residual: float
     iterations: int
     inner_iterations: int
-    converged: bool
     warm: WarmStart
     stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 class _Transcription(NamedTuple):
     """Per-solve problem data: governed stage references (N+1, 12), the
     terminal reference, per-stage anchors (N, 3) or None, and the floor
-    subtracted from each decay residual (N, n_obs), None where only the
-    cost is evaluated."""
+    subtracted from each decay residual (N, n_obs)."""
 
     x_ref: np.ndarray
-    x_term: np.ndarray
+    x_terminal: np.ndarray
     anchors: np.ndarray | None
-    floor: np.ndarray | None
+    floor: np.ndarray
 
 
-def _plan_transcription(plan: ReferencePlan, cfg: NmpcConfig,
-                        floor=None) -> _Transcription:
-    """A plan's own references, ungoverned, and its per-stage platform
-    anchors: p_platform advanced by k*dt*v_platform at stage k, or None
-    while tracking is off."""
-    anchors = None
-    if plan.track_active:
-        k = np.arange(plan.n)[:, None]
-        anchors = plan.p_platform + k * cfg.dt * plan.v_platform
-    return _Transcription(plan.x_ref, plan.x_terminal, anchors, floor)
-
-
-def _cost(X, U, tr: _Transcription, cfg: NmpcConfig, grad=False):
+def _cost(X, U, tr, cfg: NmpcConfig, grad=False):
     """Tracking cost of states X (N+1, 12) and controls U (N, 4) against
-    the references and anchors of tr: weighted squared stage errors, the
-    platform pull lam .* (pos - anchor)^2 where anchors are set, and the
-    terminal error. With grad, returns (cost, gradient over the flat
-    decision vector)."""
+    the references and anchors of tr, a _Transcription or, ungoverned, a
+    ReferencePlan: weighted squared stage errors, the platform pull
+    lam .* (pos - anchor)^2 where anchors are set, and the terminal error.
+    With grad, returns (cost, gradient over the flat decision vector)."""
     n = U.shape[0]
     err = X[:n] - tr.x_ref[:n]
     c = np.sum(err * err * cfg.q) + np.sum(U * U * cfg.r)
     if tr.anchors is not None:
         dp = X[:n, 0:3] - tr.anchors
         c += np.sum(dp * dp * cfg.lam)
-    eN = X[n] - tr.x_term
+    eN = X[n] - tr.x_terminal
     c += eN @ (cfg.q_terminal * eN)
     if not grad:
         return float(c)
@@ -314,8 +296,7 @@ def _cost(X, U, tr: _Transcription, cfg: NmpcConfig, grad=False):
 
 def total_cost(decision: DecisionVector, plan: ReferencePlan, cfg: NmpcConfig) -> float:
     """Sum of stage costs plus the terminal cost."""
-    return _cost(decision.states, decision.controls,
-                 _plan_transcription(plan, cfg), cfg)
+    return _cost(decision.states, decision.controls, plan, cfg)
 
 
 def constraint_eval(decision: DecisionVector, x_init, cfg: NmpcConfig,
@@ -339,8 +320,8 @@ def constraint_eval(decision: DecisionVector, x_init, cfg: NmpcConfig,
     else:
         res = np.zeros((n, 0))
 
-    lo = np.maximum(cfg.x_min - X[1:], 0.0).max() if n else 0.0
-    hi = np.maximum(X[1:] - cfg.x_max, 0.0).max() if n else 0.0
+    lo = np.maximum(_X_MIN - X[1:], 0.0).max() if n else 0.0
+    hi = np.maximum(X[1:] - _X_MAX, 0.0).max() if n else 0.0
     ulo = np.maximum(cfg.u_min - U, 0.0).max()
     uhi = np.maximum(U - cfg.u_max, 0.0).max()
     return ConstraintBundle(
@@ -392,8 +373,8 @@ class NmpcSolver:
         # static box bounds; the X[0] block is overwritten per solve
         lb = np.empty(self._nz)
         ub = np.empty(self._nz)
-        lb[:self._nx] = np.tile(cfg.x_min, n + 1)
-        ub[:self._nx] = np.tile(cfg.x_max, n + 1)
+        lb[:self._nx] = np.tile(_X_MIN, n + 1)
+        ub[:self._nx] = np.tile(_X_MAX, n + 1)
         lb[self._nx:] = cfg.u_min
         ub[self._nx:] = cfg.u_max
         self._lb_template = lb
@@ -436,8 +417,7 @@ class NmpcSolver:
         # state, so tightening there would only poison the solve. solve()
         # relaxes a copy further if even the raw stage-0 decay is
         # unattainable; this array is not written after construction.
-        self._mrow = np.full((n, max(self._centers.shape[0], 1)),
-                             cfg.cbf_margin)
+        self._mrow = np.full((n, max(self._centers.shape[0], 1)), _CBF_MARGIN)
         self._mrow[0] = 0.0
 
     # -- problem evaluation over the flat vector -------------------------
@@ -451,28 +431,24 @@ class NmpcSolver:
     def _transcribe(self, x_init, plan: ReferencePlan,
                     floor=None) -> _Transcription:
         """Problem data for one solve. Reference and anchor positions are
-        pulled into the cone reachable at the governor speed. floor
+        pulled into the cone reachable at _REF_GOVERNOR_SPEED. floor
         defaults to the static per-stage tightening."""
         cfg = self.cfg
         n = cfg.n
-        x_ref, x_term, anchors, _ = _plan_transcription(plan, cfg)
-        vg = cfg.ref_governor_speed
-        if vg is not None and np.isfinite(vg):
-            p0 = np.asarray(x_init, dtype=float)[0:3]
-            caps = vg * cfg.dt * np.arange(n + 1)
+        p0 = np.asarray(x_init, dtype=float)[0:3]
+        caps = _REF_GOVERNOR_SPEED * cfg.dt * np.arange(n + 1)
 
-            def pull(points, cap):
-                dp = points - p0
-                dist = np.linalg.norm(dp, axis=-1)
-                scale = np.where(dist > cap, cap / np.maximum(dist, 1e-12), 1.0)
-                return p0 + dp * scale[..., None]
+        def pull(points, cap):
+            dp = points - p0
+            dist = np.linalg.norm(dp, axis=-1)
+            scale = np.where(dist > cap, cap / np.maximum(dist, 1e-12), 1.0)
+            return p0 + dp * scale[..., None]
 
-            x_ref = x_ref.copy()
-            x_ref[:, 0:3] = pull(x_ref[:, 0:3], caps)
-            x_term = x_term.copy()
-            x_term[0:3] = pull(x_term[None, 0:3], caps[n])[0]
-            if anchors is not None:
-                anchors = pull(anchors, caps[:n])
+        x_ref = plan.x_ref.copy()
+        x_ref[:, 0:3] = pull(x_ref[:, 0:3], caps)
+        x_term = plan.x_terminal.copy()
+        x_term[0:3] = pull(x_term[None, 0:3], caps[n])[0]
+        anchors = None if plan.anchors is None else pull(plan.anchors, caps[:n])
         return _Transcription(x_ref, x_term, anchors,
                               self._mrow if floor is None else floor)
 
@@ -538,7 +514,7 @@ class NmpcSolver:
 
     # -- inner loop: projected Newton with spectral fallback ---------------
 
-    def _gn_step(self, z, ev, lb, ub, rho, track_active):
+    def _gn_step(self, z, ev, lb, ub, rho, tr):
         """Projected Newton direction at the gradient pass ev: zero on
         the coordinates fixed at a bound the gradient pushes against, the
         solution of the normal equations on the rest; None if the
@@ -577,7 +553,7 @@ class NmpcSolver:
         M *= fb[:, None, :]     # fixed coordinates drop out of every block
         H = rho * (M.transpose(0, 2, 1) @ M)
         Hb = H.reshape(n, -1)
-        Hb[:, ::29] += self._cdiag[int(track_active)] * fb
+        Hb[:, ::29] += self._cdiag[int(tr.anchors is not None)] * fb
         Hb[:, 58] += ev.hz * fb[:, 2]   # x_k's height on the diagonal
         ab = np.bincount(self._band_at, weights=Hb[:, self._tri].ravel(),
                          minlength=28 * self._nz).reshape(28, self._nz)
@@ -610,28 +586,27 @@ class NmpcSolver:
             ab[0, i] = 1.0
 
     def _newton_step(self, z, ev, lb, ub, tr, lam_eq, mu, rho, z_surface,
-                     track_active, a0=1.0):
+                     a0=1.0):
         """One projected Newton iteration: backtrack along the
         _gn_step step, which stays in the box, from step size a0, with
         Armijo's test on its slope Gᵀstep. Returns the accepted point, its
         evaluation and step size, or None when the step is no descent
         direction or the line search fails, which hands control back to
         the spectral fallback."""
-        step = self._gn_step(z, ev, lb, ub, rho, track_active)
+        step = self._gn_step(z, ev, lb, ub, rho, tr)
         slope = 0.0 if step is None else float(ev.G @ step)
         if not slope < 0.0:
             return None
-        sigma = self.cfg.armijo_sigma
         a = a0
         for _ in range(25):
             cand = z + a * step
             c = self._evaluate(cand, tr, lam_eq, mu, rho, z_surface)
-            if np.isfinite(c.L) and c.L <= ev.L + sigma * a * slope:
+            if np.isfinite(c.L) and c.L <= ev.L + _ARMIJO_SIGMA * a * slope:
                 return cand, c, a
             a *= 0.5
         return None
 
-    def _metric(self, ev, rho, track_active):
+    def _metric(self, ev, rho, tr):
         """Diagonal curvature estimate of the augmented objective at the
         evaluation ev; steps are taken in this metric to tame the wide
         weight/penalty spread. The barrier-penalty curvature is added where
@@ -639,7 +614,7 @@ class NmpcSolver:
         cfg = self.cfg
         n = cfg.n
         sx = 2.0 * cfg.q + 2.0 * rho
-        if track_active:
+        if tr.anchors is not None:
             sx = sx.copy()
             sx[0:3] += 2.0 * cfg.lam
         S = np.empty(self._nz)
@@ -656,17 +631,15 @@ class NmpcSolver:
                 act[:, :, None] * diff2[:n], axis=1)
         return S
 
-    def _inner(self, z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol, budget,
-               track_active):
+    def _inner(self, z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol, budget):
         """Minimize the augmented objective over the box from z. Returns
         the last iterate and its value-pass evaluation, the
         projected-gradient residual and the iterations used."""
-        sigma = self.cfg.armijo_sigma
         prob = (tr, lam_eq, mu, rho, z_surface)
         ev = entry = self._evaluate(z, *prob, grad=True)
         if not np.isfinite(ev.L) or not np.all(np.isfinite(ev.G)):
             raise SolverDiverged("non-finite objective at inner-loop entry")
-        S = self._metric(ev, rho, track_active)
+        S = self._metric(ev, rho, tr)
         D = 1.0 / S
         alpha = 1.0
         na = 1.0
@@ -688,7 +661,7 @@ class NmpcSolver:
                 # monotone acceptance here: letting a Newton step ride the
                 # nonmonotone window sustains two-cycles across the barrier
                 # activation kink instead of damping them out
-                hit = self._newton_step(z, ev, lb, ub, *prob, track_active, na)
+                hit = self._newton_step(z, ev, lb, ub, *prob, na)
                 if hit is None:
                     newton = False      # direction went bad; spectral from here
                 else:
@@ -710,7 +683,8 @@ class NmpcSolver:
                     if ss == 0.0:
                         break
                     c = self._evaluate(cand, *prob)
-                    if np.isfinite(c.L) and c.L <= L_ref - (sigma / a) * ss:
+                    if np.isfinite(c.L) \
+                            and c.L <= L_ref - (_ARMIJO_SIGMA / a) * ss:
                         z_new, new = cand, c
                         break
                     a *= 0.5
@@ -753,7 +727,7 @@ class NmpcSolver:
         if not np.all(np.isfinite(zp)) or np.any(zp < lb) or np.any(zp > ub):
             return z, ev
         evp = self._evaluate(zp, tr, lam_eq, mu, rho, z_surface)
-        if evp.g.size and float(evp.g.min()) < -cfg.tol_ineq - 0.5 * cfg.cbf_margin:
+        if evp.g.size and float(evp.g.min()) < -_TOL_INEQ - 0.5 * _CBF_MARGIN:
             return z, ev
         return zp, evp
 
@@ -788,7 +762,7 @@ class NmpcSolver:
         X = np.zeros((n + 1, 12))
         X[:, 0:3] = P
         X[1:, 3:6] = np.clip((P[1:] - P[:-1]) / cfg.dt,
-                             cfg.x_min[3:6], cfg.x_max[3:6])
+                             _X_MIN[3:6], _X_MAX[3:6])
         X[:, 8] = x_ref[:, 8]
         X[0] = x_init
         u0 = np.clip(self.params.hover_thrust(), cfg.u_min, cfg.u_max)
@@ -819,7 +793,7 @@ class NmpcSolver:
             floor[0] = np.minimum(0.0, self._decay(P)[0][0])
         lam_eq = np.zeros((n, 12))
         mu = np.zeros((n, n_obs))
-        rho = cfg.penalty_init
+        rho = _PENALTY_INIT
         if warm is not None:
             dec = warm.decision
             lam_eq = warm.lam_eq.copy()
@@ -827,7 +801,7 @@ class NmpcSolver:
             # cap the inherited penalty: the multipliers carry the real
             # information, and restarting deep in the penalty regime makes
             # the first subproblems needlessly stiff
-            rho = min(warm.rho, 0.01 * cfg.penalty_max)
+            rho = min(warm.rho, 0.01 * _PENALTY_MAX)
         else:
             dec = self.cold_start(x_init, plan)
 
@@ -865,7 +839,7 @@ class NmpcSolver:
                 break
             z, ev, pg, used = self._inner(
                 z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol_inner,
-                min(cfg.max_inner, room), plan.track_active)
+                min(cfg.max_inner, room))
             total_inner += used
             # multipliers update at the subproblem solution, where the
             # first-order theory places them; the polish below only swaps
@@ -879,7 +853,7 @@ class NmpcSolver:
                 if ev.w is not None:
                     mu = ev.w       # max(0, mu - rho g), the penalty weight
             dmax = float(np.abs(ev.d).max())
-            if dmax > cfg.tol_feas and dmax <= cfg.polish_gate \
+            if dmax > _TOL_FEAS and dmax <= _POLISH_GATE \
                     and pg <= cfg.tol_stat:
                 # the controls are settled; close the remaining dynamics gap
                 # exactly by re-rolling the states, if that stays feasible
@@ -890,10 +864,10 @@ class NmpcSolver:
             viol = dmax
             if g.size:
                 viol = max(viol, float(np.maximum(0.0, -g).max()))
-            feas_ok = dmax <= cfg.tol_feas
+            feas_ok = dmax <= _TOL_FEAS
             # the polished iterate may spend up to half the tightening
             # margin; the raw decay residual stays strictly positive
-            gtol = cfg.tol_ineq + 0.5 * cfg.cbf_margin
+            gtol = _TOL_INEQ + 0.5 * _CBF_MARGIN
             ineq_ok = (float(g.min()) >= -gtol) if g.size else True
             if feas_ok and ineq_ok and pg <= cfg.tol_stat:
                 stop = "converged"
@@ -904,9 +878,9 @@ class NmpcSolver:
             # Once the penalty sits at its cap the same logic applies even
             # without an inner certificate: growth can no longer react, so
             # a violation that repeats across outers is not going to move
-            if (pg <= cfg.tol_stat or rho >= cfg.penalty_max) \
+            if (pg <= cfg.tol_stat or rho >= _PENALTY_MAX) \
                     and viol > 0.9 * viol_last \
-                    and viol > 20.0 * cfg.tol_feas:
+                    and viol > 20.0 * _TOL_FEAS:
                 stall += 1
                 if stall >= 3:
                     stop = "stall"
@@ -915,8 +889,8 @@ class NmpcSolver:
                 stall = 0
             # raise the penalty only on stagnation while clearly infeasible;
             # near the feasibility target the multiplier updates finish the job
-            if viol > 0.5 * viol_last and viol > 20.0 * cfg.tol_feas:
-                rho = min(rho * cfg.penalty_growth, cfg.penalty_max)
+            if viol > 0.5 * viol_last and viol > 20.0 * _TOL_FEAS:
+                rho = min(rho * _PENALTY_GROWTH, _PENALTY_MAX)
             viol_last = viol
             # tighten the subproblem tolerance geometrically, and faster if
             # the constraint violation is already smaller than the schedule
@@ -936,7 +910,6 @@ class NmpcSolver:
             min_cbf_residual=float(ev.r.min()) if ev.r.size else float("inf"),
             iterations=outer,
             inner_iterations=total_inner,
-            converged=stop == "converged",
             warm=WarmStart(decision.copy(), lam_eq.copy(), mu.copy(), rho),
             stop=stop,
         )
@@ -990,7 +963,8 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
     rng = np.random.default_rng(seed)
     n = solver.cfg.n
     n_obs = solver._centers.shape[0]
-    tr = _plan_transcription(plan, solver.cfg, solver._mrow)
+    tr = _Transcription(plan.x_ref, plan.x_terminal, plan.anchors,
+                        solver._mrow)
     worst = 0.0
     worst_point = -1
     worst_index = -1

@@ -10,7 +10,7 @@ horizontal error blows out regresses to TRACK and retries.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,9 +162,8 @@ class PhaseTracker:
     phase: LandingPhase = LandingPhase.APPROACH
     within_time: float = 0.0
     time_in_descend: float = 0.0
-    transitions: list = field(default_factory=list)
 
-    def step(self, t, drone, platform_pos, platform_vel) -> LandingPhase:
+    def step(self, drone, platform_pos, platform_vel) -> LandingPhase:
         thr = self.thresholds
         horiz = float(np.hypot(drone[0] - platform_pos[0],
                                drone[1] - platform_pos[1]))
@@ -179,8 +178,6 @@ class PhaseTracker:
                 self.time_in_descend += self.dt
             else:
                 self.time_in_descend = 0.0
-        if new is not self.phase:
-            self.transitions.append((float(t), new))
         self.phase = new
         return new
 
@@ -211,10 +208,10 @@ def build_reference_plan(phase: LandingPhase, platform_pos, platform_vel,
 
     Positions chase the phase target advanced along the platform velocity,
     with the descent ramp continued across the horizon so the solver sees
-    the sink rate coming. The positional pull anchor is the phase target
-    itself (not the raw platform center): pulling z toward the surface
-    while the reference holds approach altitude would just split the
-    difference. Tracking pull is active only in TRACK and DESCEND.
+    the sink rate coming. The positional pull anchors are the phase target
+    so advanced, without the ramp (not the raw platform center): pulling z
+    toward the surface while the reference holds approach altitude would
+    just split the difference. Anchors are set only in TRACK and DESCEND.
     """
     platform_vel = np.asarray(platform_vel, dtype=float)
     target = descent_reference(phase, platform_pos, thr, time_in_descend)
@@ -222,6 +219,9 @@ def build_reference_plan(phase: LandingPhase, platform_pos, platform_vel,
     ks = np.arange(n + 1, dtype=float)
     x_ref = np.zeros((n + 1, 12))
     x_ref[:, 0:3] = target + ks[:, None] * cfg.dt * platform_vel
+    anchors = None
+    if phase in (LandingPhase.TRACK, LandingPhase.DESCEND):
+        anchors = x_ref[:n, 0:3].copy()
     if phase is LandingPhase.DESCEND:
         floor = float(np.asarray(platform_pos, dtype=float)[2]) \
             + thr.hover_clearance
@@ -229,11 +229,6 @@ def build_reference_plan(phase: LandingPhase, platform_pos, platform_vel,
         x_ref[:, 2] = np.maximum(ramp, floor) + ks * cfg.dt * platform_vel[2]
     x_ref[:, 3:6] = platform_vel
     x_ref[:, 8] = yaw
-    return ReferencePlan(
-        x_ref=x_ref,
-        x_terminal=x_ref[-1].copy(),
-        p_platform=target,
-        v_platform=platform_vel.copy(),
-        track_active=phase in (LandingPhase.TRACK, LandingPhase.DESCEND),
-    )
+    return ReferencePlan(x_ref=x_ref, x_terminal=x_ref[-1].copy(),
+                         anchors=anchors)
 

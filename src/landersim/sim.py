@@ -288,7 +288,7 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
         t = k * cfg.dt
         p_plat, v_plat = platform_state_at(model, t)
         x_meas = add_state_noise(x, noise, rng)
-        phase = tracker.step(t, x_meas, p_plat, v_plat)
+        phase = tracker.step(x_meas, p_plat, v_plat)
         h_now = (barrier_values_all(x[0:2], cbf).ravel()
                  if cbf.obstacles else np.zeros(0))
 

@@ -183,8 +183,7 @@ def test_criterion_8_hover_equilibrium(verdict):
     params = QuadrotorParams()
     cfg = NmpcConfig()
     x = make_state(pos=(0.0, 0.0, 1.5))
-    plan = ReferencePlan(x_ref=np.tile(x, (cfg.n + 1, 1)), x_terminal=x,
-                         p_platform=np.zeros(3))
+    plan = ReferencePlan(x_ref=np.tile(x, (cfg.n + 1, 1)), x_terminal=x)
     sol = NmpcSolver(cfg, CbfConfig(), params).solve(x, plan)
     nominal = hover_control(params)[0]          # m g / 4 per motor
     rel = float(np.abs(sol.u_apply / nominal - 1.0).max())

@@ -44,7 +44,7 @@ def test_gradient_matches_fd():
     X = np.zeros((2, 12))
     X[:, 0:2] = [[1.3, 0.9], [-0.2, 0.5]]
     z = DecisionVector(X, np.zeros((1, 4))).flatten()
-    tr = solver._transcribe(X[0], ReferencePlan(X, X[1], np.zeros(3)))
+    tr = solver._transcribe(X[0], ReferencePlan(X, X[1]))
     ev = solver._evaluate(z, tr, np.zeros((1, 12)), np.zeros((1, 1)), 1.0,
                           0.0)
     eps = 1e-7

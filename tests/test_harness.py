@@ -78,8 +78,10 @@ def test_unknown_top_level_key():
 
 
 def test_unknown_nested_key():
-    with pytest.raises(ScenarioError, match="unknown nmpc keys"):
-        ScenarioConfig.from_dict({"nmpc": {"horizon": 10}})
+    # cbf_margin is a solver constant, not a setting
+    for key in ("horizon", "cbf_margin"):
+        with pytest.raises(ScenarioError, match="unknown nmpc keys"):
+            ScenarioConfig.from_dict({"nmpc": {key: 0.1}})
 
 
 def test_trials_and_timeout_bounds():

@@ -17,8 +17,10 @@ from landersim.ocp import (
     NmpcSolver,
     ReferencePlan,
     SolverDiverged,
+    _PENALTY_INIT,
+    _X_MAX,
+    _X_MIN,
     _cost,
-    _plan_transcription,
     _random_decision,
     constraint_eval,
     WarmStart,
@@ -38,16 +40,20 @@ def cfg():
     return NmpcConfig()
 
 
+def _moving_anchors(p, v, n, dt):
+    """Anchors starting at p and advancing at velocity v, k*dt at stage k."""
+    k = np.arange(n)[:, None]
+    return np.asarray(p, dtype=float) + k * dt * np.asarray(v, dtype=float)
+
+
 def _constant_plan(cfg, pos, track_active=False, v_platform=(0.0, 0.0, 0.0)):
-    """Reference fixed at a hover state over the whole horizon."""
+    """Reference fixed at a hover state over the whole horizon; with
+    track_active, anchors start at pos and move at v_platform."""
     xr = np.tile(make_state(pos=pos), (cfg.n + 1, 1))
-    return ReferencePlan(
-        x_ref=xr,
-        x_terminal=xr[-1].copy(),
-        p_platform=np.asarray(pos, dtype=float),
-        v_platform=np.asarray(v_platform, dtype=float),
-        track_active=track_active,
-    )
+    anchors = None
+    if track_active:
+        anchors = _moving_anchors(pos, v_platform, cfg.n, cfg.dt)
+    return ReferencePlan(x_ref=xr, x_terminal=xr[-1].copy(), anchors=anchors)
 
 
 # -- cost oracles -----------------------------------------------------------
@@ -55,28 +61,27 @@ def _constant_plan(cfg, pos, track_active=False, v_platform=(0.0, 0.0, 0.0)):
 
 def _naive_cost(dec, plan, cfg):
     """Independent scalar-loop oracle: stage errors, platform pull towards
-    the anchor advanced k*dt per stage, and the terminal error."""
+    each stage's anchor, and the terminal error."""
     c = 0.0
     for k in range(dec.n):
         for i in range(12):
             c += cfg.q[i] * (dec.states[k, i] - plan.x_ref[k, i]) ** 2
         for i in range(4):
             c += cfg.r[i] * dec.controls[k, i] ** 2
-        if plan.track_active:
+        if plan.anchors is not None:
             for i in range(3):
-                anchor = plan.p_platform[i] + k * cfg.dt * plan.v_platform[i]
-                c += cfg.lam[i] * (dec.states[k, i] - anchor) ** 2
+                c += cfg.lam[i] * (dec.states[k, i] - plan.anchors[k, i]) ** 2
     for i in range(12):
         c += cfg.q_terminal[i] * (dec.states[dec.n, i] - plan.x_terminal[i]) ** 2
     return c
 
 
 def _one_stage(x0, u0, x1, x_ref0, x_terminal, p_f, track_active):
-    """A horizon-one decision and plan (anchor fixed at p_f)."""
+    """A horizon-one decision and plan (anchor at p_f when tracking)."""
     dec = DecisionVector(states=np.array([x0, x1]), controls=np.array([u0]))
     plan = ReferencePlan(x_ref=np.array([x_ref0, x_terminal]),
-                         x_terminal=x_terminal, p_platform=p_f,
-                         track_active=track_active)
+                         x_terminal=x_terminal,
+                         anchors=np.array([p_f]) if track_active else None)
     return dec, plan
 
 
@@ -151,10 +156,9 @@ def test_total_cost_horizon_one_reduces_to_stage_plus_terminal():
                          controls=rng.normal(size=(1, 4)))
     plan = ReferencePlan(x_ref=rng.normal(size=(2, 12)),
                          x_terminal=rng.normal(size=12),
-                         p_platform=rng.normal(size=3),
-                         track_active=True)
+                         anchors=rng.normal(size=(1, 3)))
     e0 = dec.states[0] - plan.x_ref[0]
-    dp = dec.states[0, 0:3] - plan.p_platform
+    dp = dec.states[0, 0:3] - plan.anchors[0]
     eN = dec.states[1] - plan.x_terminal
     want = (np.dot(cfg.q, e0 ** 2) + np.dot(cfg.r, dec.controls[0] ** 2)
             + np.dot(cfg.lam, dp ** 2) + np.dot(cfg.q_terminal, eN ** 2))
@@ -169,9 +173,9 @@ def test_total_cost_matches_naive_loop(cfg):
                          controls=rng.normal(size=(cfg.n, 4)))
     plan = ReferencePlan(x_ref=rng.normal(size=(cfg.n + 1, 12)),
                          x_terminal=rng.normal(size=12),
-                         p_platform=rng.normal(size=3),
-                         v_platform=np.array([0.8, -0.3, 0.0]),
-                         track_active=True)
+                         anchors=_moving_anchors(rng.normal(size=3),
+                                                 [0.8, -0.3, 0.0],
+                                                 cfg.n, cfg.dt))
     want = _naive_cost(dec, plan, cfg)
     assert total_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
 
@@ -289,11 +293,10 @@ def test_cost_gradient_matches_central_differences(cfg):
                          rng.normal(size=(cfg.n, 4)))
     plan = ReferencePlan(x_ref=rng.normal(size=(cfg.n + 1, 12)),
                          x_terminal=rng.normal(size=12),
-                         p_platform=rng.normal(size=3),
-                         v_platform=np.array([0.5, 0.2, 0.0]),
-                         track_active=True)
-    c, g = _cost(dec.states, dec.controls, _plan_transcription(plan, cfg),
-                 cfg, grad=True)
+                         anchors=_moving_anchors(rng.normal(size=3),
+                                                 [0.5, 0.2, 0.0],
+                                                 cfg.n, cfg.dt))
+    c, g = _cost(dec.states, dec.controls, plan, cfg, grad=True)
     assert c == total_cost(dec, plan, cfg)
     z = dec.flatten()
     # the objective is quadratic, so central differences are exact for any
@@ -447,7 +450,7 @@ def _check_banded_step(params, n, track_active, rho, z_surface=0.0):
                                              track_active, z_surface)
         held += fixed[nx:].sum()
         pins += pinned.sum()
-        got = solver._gn_step(z, ev, lb, ub, rho, track_active)
+        got = solver._gn_step(z, ev, lb, ub, rho, tr)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-6 * np.abs(want).max())
         assert np.all(got[fixed] == 0.0)
@@ -496,7 +499,7 @@ def test_newton_step_holds_thrust_at_its_bound(cfg, params):
     tr = solver._transcribe(x0, _constant_plan(cfg, (0.0, 0.0, 3.0)))
     prob = (tr, np.zeros((n, 12)), np.zeros((n, 0)), 1e4, 0.0)
     ev = solver._evaluate(z, *prob, grad=True)
-    hit = solver._newton_step(z, ev, lb, ub, *prob, False)
+    hit = solver._newton_step(z, ev, lb, ub, *prob)
     assert hit is not None
     z_new, new, a = hit
     assert a == 1.0
@@ -583,7 +586,7 @@ def test_solve_converged_meets_contract(cfg, params):
     z = sol.decision.flatten()
     X, U = sol.decision.states, sol.decision.controls
     assert np.all(U >= cfg.u_min) and np.all(U <= cfg.u_max)
-    assert np.all(X >= cfg.x_min - 1e-12) and np.all(X <= cfg.x_max + 1e-12)
+    assert np.all(X >= _X_MIN - 1e-12) and np.all(X <= _X_MAX + 1e-12)
     np.testing.assert_array_equal(X[0], x0)
 
 
@@ -727,7 +730,7 @@ def test_certificate_is_the_reference_evaluation(params, monkeypatch, case):
                              solver.cfg)
     if case == "no_step":
         # one multiplier update from zero, with the reference defects
-        want = 0.0 - solver.cfg.penalty_init * ref.defects
+        want = 0.0 - _PENALTY_INIT * ref.defects
         assert sol.warm.lam_eq.tobytes() == want.tobytes()
 
 
@@ -745,7 +748,7 @@ def test_polish_rollout_matches_one_row_batch_steps(cfg, params, z_surface):
     free = np.full(z.size, np.inf)
     tr = solver._transcribe(x0, plan)
     zp, _ = solver._try_polish(z, None, -free, free, tr, np.zeros((cfg.n, 12)),
-                               np.zeros((cfg.n, 0)), cfg.penalty_init,
+                               np.zeros((cfg.n, 0)), _PENALTY_INIT,
                                z_surface)
     X = dec.states.copy()
     for k in range(cfg.n):
@@ -789,5 +792,8 @@ def test_config_rejects_unordered_bounds():
 
 def test_plan_rejects_bad_reference_shape():
     with pytest.raises(ValueError):
-        ReferencePlan(x_ref=np.zeros((11, 7)), x_terminal=np.zeros(12),
-                      p_platform=np.zeros(3))
+        ReferencePlan(x_ref=np.zeros((11, 7)), x_terminal=np.zeros(12))
+    # one anchor per stage, not one platform point for the whole horizon
+    with pytest.raises(ValueError, match="anchors"):
+        ReferencePlan(x_ref=np.zeros((11, 12)), x_terminal=np.zeros(12),
+                      anchors=np.zeros(3))

@@ -170,12 +170,10 @@ def test_tracker_accumulates_dwell(thr):
                            phase=LandingPhase.TRACK)
     pos = np.array([0.0, 0.0, 0.3])
     drone = _drone_at(0.0, 0.0, 1.3)
-    phases = [tracker.step(0.1 * k, drone, pos, np.zeros(3))
-              for k in range(6)]
+    phases = [tracker.step(drone, pos, np.zeros(3)) for _ in range(6)]
     # needs 5 steps inside the radius to accumulate the 0.5 s dwell
     assert phases[:4] == [LandingPhase.TRACK] * 4
     assert phases[4] is LandingPhase.DESCEND
-    assert tracker.transitions == [(pytest.approx(0.4), LandingPhase.DESCEND)]
 
 
 def test_tracker_dwell_resets_outside_radius(thr):
@@ -184,9 +182,9 @@ def test_tracker_dwell_resets_outside_radius(thr):
     pos = np.array([0.0, 0.0, 0.3])
     inside = _drone_at(0.0, 0.0, 1.3)
     outside = _drone_at(0.2, 0.0, 1.3)
-    for k in range(4):
-        tracker.step(0.1 * k, inside, pos, np.zeros(3))
-    tracker.step(0.4, outside, pos, np.zeros(3))
+    for _ in range(4):
+        tracker.step(inside, pos, np.zeros(3))
+    tracker.step(outside, pos, np.zeros(3))
     assert tracker.within_time == 0.0
     assert tracker.phase is LandingPhase.TRACK
 
@@ -196,8 +194,8 @@ def test_tracker_descend_clock(thr):
                            phase=LandingPhase.DESCEND)
     pos = np.array([0.0, 0.0, 0.3])
     drone = _drone_at(0.0, 0.0, 1.0)
-    for k in range(5):
-        tracker.step(0.1 * k, drone, pos, np.zeros(3))
+    for _ in range(5):
+        tracker.step(drone, pos, np.zeros(3))
     assert tracker.time_in_descend == pytest.approx(0.5)
 
 
@@ -244,10 +242,10 @@ def test_reference_plan_static_track(thr):
     plan = build_reference_plan(LandingPhase.TRACK, pos, np.zeros(3), 0.0,
                                 cfg, thr)
     assert plan.x_ref.shape == (cfg.n + 1, 12)
-    assert plan.track_active
     np.testing.assert_allclose(plan.x_ref[:, 0], 0.5)
     np.testing.assert_allclose(plan.x_ref[:, 2], 1.3)
-    np.testing.assert_allclose(plan.p_platform, [0.5, 0.0, 1.3])
+    np.testing.assert_array_equal(plan.anchors,
+                                  np.tile([0.5, 0.0, 1.3], (cfg.n, 1)))
 
 
 def test_reference_plan_chases_moving_platform(thr):
@@ -259,7 +257,11 @@ def test_reference_plan_chases_moving_platform(thr):
                                np.arange(cfg.n + 1) * cfg.dt)
     np.testing.assert_allclose(plan.x_ref[:, 3], 1.0)
     np.testing.assert_allclose(plan.x_ref[:, 8], 0.3)
-    np.testing.assert_allclose(plan.v_platform, vel)
+    # the anchors chase the phase target at the platform velocity, bit for
+    # bit target + k dt v
+    target = np.array([0.0, 0.0, 1.3])
+    want = np.array([target + k * cfg.dt * vel for k in range(cfg.n)])
+    assert plan.anchors.tobytes() == want.tobytes()
 
 
 def test_reference_plan_descend_ramps_over_horizon(thr):
@@ -271,6 +273,10 @@ def test_reference_plan_descend_ramps_over_horizon(thr):
     assert z[0] == pytest.approx(1.1)
     assert np.all(np.diff(z) <= 1e-12)
     assert z[-1] == pytest.approx(1.1 - 0.4 * cfg.n * cfg.dt)
+    # the anchors keep the unramped phase target, height included
+    target = descent_reference(LandingPhase.DESCEND, pos, thr, 0.5)
+    assert plan.anchors.tobytes() == np.tile(target, (cfg.n, 1)).tobytes()
+    assert np.all(plan.anchors[1:, 2] > z[1:cfg.n])
 
 
 def test_reference_plan_approach_not_tracking(thr):
@@ -278,5 +284,5 @@ def test_reference_plan_approach_not_tracking(thr):
     plan = build_reference_plan(LandingPhase.APPROACH,
                                 np.array([0.0, 0.0, 0.3]), np.zeros(3), 0.0,
                                 cfg, thr)
-    assert not plan.track_active
+    assert plan.anchors is None
 

@@ -1,11 +1,15 @@
-"""Guards on the package surface: the public names, and the attributes the
+"""Guards on the package surface: the public names, the fields of the
+solver's configuration and reference plan, and the attributes the
 benchmark's tracer (perfbench/tracing.py) patches in place, so a cleanup
-that deletes one of them fails here and not only in the benchmark."""
+that deletes one of them fails here and not only in the benchmark, and a
+setting added later shows up as a change to this file."""
 
+import dataclasses
 import importlib.util
 import pathlib
 
 import landersim
+from landersim.ocp import NmpcConfig, ReferencePlan
 
 TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
@@ -24,6 +28,14 @@ def test_public_names_resolve_sorted_and_unique():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(landersim, name), name
+
+
+def test_solver_config_and_plan_fields():
+    assert [f.name for f in dataclasses.fields(NmpcConfig)] == [
+        "n", "dt", "q", "r", "q_terminal", "lam", "u_min", "u_max",
+        "max_outer", "max_inner", "max_inner_total", "tol_stat"]
+    assert [f.name for f in dataclasses.fields(ReferencePlan)] == [
+        "x_ref", "x_terminal", "anchors"]
 
 
 def test_traced_boundaries_exist_and_are_restored():
