@@ -15,7 +15,7 @@ from .harness import (ScenarioError, batch_report, load_scenario,
                       render_table, run_trials)
 from .ocp import NmpcSolver, gradient_check
 from .platform import LandingPhase, build_reference_plan, platform_state_at
-from .sim import NOISE_PRESETS, noise_preset
+from .sim import H_FLOOR, NOISE_PRESETS, noise_preset
 
 # mean-FPE acceptance bounds in cm, keyed by (moving platform, has obstacles)
 _FPE_BOUNDS = {
@@ -24,7 +24,6 @@ _FPE_BOUNDS = {
     (True, False): 10.0,
     (True, True): 15.0,
 }
-_H_FLOOR = -1e-5
 
 
 def _fpe_bound(scenario) -> float:
@@ -38,7 +37,7 @@ def _within_bounds(scenario, report) -> bool:
     if report.mean_fpe_cm is None or report.mean_fpe_cm > _fpe_bound(scenario):
         return False
     if scenario.cbf.obstacles:
-        if report.min_h is None or report.min_h < _H_FLOOR:
+        if report.min_h is None or report.min_h < H_FLOOR:
             return False
     return True
 
@@ -88,7 +87,7 @@ def _cmd_run(args) -> int:
         if not ok:
             print(f"assert: batch outside acceptance bounds "
                   f"(mean fpe bound {_fpe_bound(sc):g} cm, "
-                  f"min h floor {_H_FLOOR:g})", file=sys.stderr)
+                  f"min h floor {H_FLOOR:g})", file=sys.stderr)
     return 0 if ok else 1
 
 

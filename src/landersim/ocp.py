@@ -25,13 +25,13 @@ an independent reference for that certificate.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-# cho_factor and cho_solve stay bound: perfbench/tracing.py patches them here
-from scipy.linalg import cho_factor, cho_solve  # noqa: F401
-from scipy.linalg.lapack import dpbsv
 
 from landersim.cbf import CbfConfig, barrier_value
 from landersim.dynamics import (
@@ -40,6 +40,34 @@ from landersim.dynamics import (
     derivative_batch,
     euler_step_batch,
 )
+
+
+def _load_flapack():
+    """scipy's LAPACK wrapper extension, loaded from its file under its own
+    name. Importing it through scipy.linalg would run that package's
+    __init__, which pulls in about 300 modules the solver never uses
+    (numpy.testing, numpy.f2py, unittest, ...). A later `import
+    scipy.linalg` finds this module in sys.modules and reuses it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    # find_spec imports the top-level scipy package only
+    (where,) = importlib.util.find_spec("scipy.linalg") \
+        .submodule_search_locations
+    path = f"{where}/_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)  # ImportError names path
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+# LAPACK's band Cholesky solve, the routine scipy.linalg.solveh_banded wraps
+dpbsv = _load_flapack().dpbsv
+# Placeholders: the solver calls neither name, but perfbench/tracing.py
+# patches both here. ROADMAP direction 5's tracer mend deletes them.
+cho_factor = cho_solve = None
 
 
 class SolverDiverged(RuntimeError):

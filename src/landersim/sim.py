@@ -22,6 +22,9 @@ from .platform import LandingPhase, PhaseTracker, build_reference_plan, \
 
 # RK4 steps of the plant per control period
 _PLANT_SUBSTEPS = 10
+# safety floor on the logged barrier values (m^2): a trial that ends below
+# it has failed, wherever it came to rest
+H_FLOOR = -1e-5
 
 _STATE_COLS = ["px", "py", "pz", "vx", "vy", "vz",
                "roll", "pitch", "yaw", "wx", "wy", "wz"]
@@ -80,7 +83,8 @@ class TrialLog:
     iterations and inner_iterations are the solver's outer and inner
     iteration counts (0 on rows without a solve); inner iterations are the
     unit of the real-time budget nmpc.max_inner_total. terminal is present
-    exactly when the trial reached LANDED.
+    exactly when the trial reached the LANDED phase; such a trial still
+    fails if its logged barrier minimum broke H_FLOOR.
     """
 
     scenario: str
@@ -349,4 +353,11 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
     if terminal is None and not failed:
         failed = True
         reason = reason or f"timeout after {scenario.timeout:g} s"
-    return rec.freeze(terminal, failed, reason)
+    log = rec.freeze(terminal, failed, reason)
+    if not failed and log.min_h() < H_FLOOR:
+        # judged once the trial is over, so no step of the loop changes
+        k = int(np.argmin(log.h.min(axis=1)))
+        log.failed = True
+        log.failure_reason = (f"safety floor broken: h {log.min_h():.3g} "
+                              f"at t {log.t[k]:.1f} s")
+    return log

@@ -16,7 +16,7 @@ from landersim.cli import main
 from landersim.dynamics import QuadrotorParams, hover_control, make_state
 from landersim.harness import batch_report, load_scenario, run_trials
 from landersim.ocp import NmpcConfig, NmpcSolver, ReferencePlan
-from landersim.sim import run_closed_loop
+from landersim.sim import H_FLOOR, run_closed_loop
 
 SCENARIOS = ("static_clear", "static_obstacle", "dynamic_clear",
              "dynamic_obstacle")
@@ -52,11 +52,11 @@ def test_criterion_2_static_obstacle_accuracy_and_safety(batches, verdict):
     logs, rep, _ = batches["static_obstacle"]
     h = _h_floor(logs)
     ok = (rep.n_success == rep.n_trials and rep.mean_fpe_cm <= 8.0
-          and h >= -1e-5)
+          and h >= H_FLOOR)
     verdict(2, ok,
             f"static platform, obstacle on path: {rep.n_success}/"
             f"{rep.n_trials} landed, mean FPE {rep.mean_fpe_cm:.4f} cm "
-            f"(bound 8 cm), min logged h {h:.5f} m^2 (floor -1e-5)")
+            f"(bound 8 cm), min logged h {h:.5f} m^2 (floor {H_FLOOR:g})")
 
 
 def test_criterion_3_dynamic_platform_accuracy(batches, verdict):
@@ -65,7 +65,7 @@ def test_criterion_3_dynamic_platform_accuracy(batches, verdict):
     h = _h_floor(logs_ob)
     ok = (clear.n_success == clear.n_trials and clear.mean_fpe_cm <= 10.0
           and ob.n_success == ob.n_trials and ob.mean_fpe_cm <= 15.0
-          and h >= -1e-5)
+          and h >= H_FLOOR)
     verdict(3, ok,
             f"dynamic platform at 1 m/s: clear mean FPE "
             f"{clear.mean_fpe_cm:.4f} cm (bound 10), with obstacle "

@@ -2,13 +2,19 @@
 solver's configuration and reference plan, and the attributes the
 benchmark's tracer (perfbench/tracing.py) patches in place, so a cleanup
 that deletes one of them fails here and not only in the benchmark, and a
-setting added later shows up as a change to this file."""
+setting added later shows up as a change to this file. Also guards what
+importing the package loads: the solver's LAPACK routine without the
+scipy.linalg package."""
 
 import dataclasses
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import landersim
+import landersim.ocp
 from landersim.ocp import NmpcConfig, ReferencePlan
 
 TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +55,20 @@ def test_traced_boundaries_exist_and_are_restored():
         assert not any(d is b for d, b in zip(during, before))
     after = [owner.__dict__[attr] for owner, attr, _ in tracing.BOUNDARIES]
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # out of process: the test session itself may have imported scipy.linalg
+    root = str(pathlib.Path(landersim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, landersim; print(sorted(m for m in ('scipy.linalg',"
+             " 'numpy.testing', 'numpy.f2py') if m in sys.modules))")
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                        text=True, env={**os.environ, "PYTHONPATH": path})
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[]"
+
+
+def test_solver_lapack_routine_is_scipys():
+    import scipy.linalg.lapack
+    assert landersim.ocp.dpbsv is scipy.linalg.lapack.dpbsv
