@@ -31,8 +31,10 @@ class ObstacleSpec:
     margin: float = 0.3
 
     def __post_init__(self):
-        self.center = (float(self.center[0]), float(self.center[1]))
-        if self.radius < 0 or self.margin < 0:
+        self.center = tuple(float(c) for c in self.center)
+        if len(self.center) != 2 or not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be two finite numbers")
+        if not (self.radius >= 0 and self.margin >= 0):
             raise ValueError("radius and margin must be nonnegative")
 
     @property

@@ -25,46 +25,68 @@ class ScenarioError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
 
-def _fields(cls):
-    return {f.name for f in dataclasses.fields(cls)}
+_KINDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _checked(name, default, v):
+    """v, once it has the kind and shape of the field's default: a section
+    is a JSON object built into its dataclass, an int, str or list default
+    takes only its own type (so no bool for an int), and a float or vector
+    default takes finite numbers of its shape."""
+    if dataclasses.is_dataclass(default):
+        if isinstance(v, type(default)):    # a noise preset
+            return v
+        return _build(type(default), v, name)
+    if type(default) in _KINDS:
+        ok, kind = type(v) is type(default), _KINDS[type(default)]
+    else:
+        try:
+            a = np.array(v)
+            ok = (a.dtype.kind in "iuf" and a.shape == np.shape(default)
+                  and bool(np.isfinite(a).all()))
+        except ValueError:                  # ragged nesting
+            ok = False
+        kind = (f"{len(default)} finite numbers" if np.ndim(default)
+                else "a finite number")
+    if not ok:
+        raise ScenarioError(f"{name} must be {kind}")
+    return v
 
 
 def _build(cls, d, what):
-    d = dict(d or {})
-    unknown = set(d) - _fields(cls)
+    """cls from a JSON object: its keys are the fields of cls, an absent
+    key takes the field's default, and a given value is checked against
+    that default (fields without one are checked by cls)."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{what} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
     if unknown:
         raise ScenarioError(f"unknown {what} keys: {sorted(unknown)}")
+    kw = {}
+    for k, v in d.items():
+        f = fields[k]
+        default = f.default if f.default_factory is dataclasses.MISSING \
+            else f.default_factory()
+        name = k if cls is ScenarioConfig else f"{what}.{k}"
+        kw[k] = v if default is dataclasses.MISSING \
+            else _checked(name, default, v)
     try:
-        return cls(**d)
+        return cls(**kw)
+    except ScenarioError:
+        raise
     except (ValueError, TypeError) as e:
-        raise ScenarioError(f"invalid {what}: {e}") from e
-
-
-def _cbf_from_dict(d) -> CbfConfig:
-    d = dict(d or {})
-    obs = d.pop("obstacles", [])
-    unknown = set(d) - {"gamma"}
-    if unknown:
-        raise ScenarioError(f"unknown cbf keys: {sorted(unknown)}")
-    try:
-        specs = [ObstacleSpec(**o) for o in obs]
-        return CbfConfig(obstacles=specs, **d)
-    except (ValueError, TypeError) as e:
-        raise ScenarioError(f"invalid cbf config: {e}") from e
+        raise ScenarioError(f"{what}: {e}") from e
 
 
 def _x0_from(v) -> np.ndarray:
-    if isinstance(v, dict):
-        unknown = set(v) - {"pos", "vel", "yaw"}
-        if unknown:
-            raise ScenarioError(f"unknown x0 keys: {sorted(unknown)}")
-        return make_state(pos=v.get("pos", (0.0, 0.0, 2.0)),
-                          vel=v.get("vel", (0.0, 0.0, 0.0)),
-                          att=(0.0, 0.0, float(v.get("yaw", 0.0))))
-    x = np.asarray(v, dtype=float)
-    if x.shape != (12,):
-        raise ScenarioError("x0 must be a 12-vector or {pos, vel, yaw}")
-    return x
+    """The {pos, vel, yaw} form of x0 as a 12-vector."""
+    form = {"pos": (0.0, 0.0, 2.0), "vel": (0.0, 0.0, 0.0), "yaw": 0.0}
+    unknown = set(v) - set(form)
+    if unknown:
+        raise ScenarioError(f"unknown x0 keys: {sorted(unknown)}")
+    x = {k: _checked(f"x0.{k}", form[k], v.get(k, form[k])) for k in form}
+    return make_state(pos=x["pos"], vel=x["vel"], att=(0.0, 0.0, x["yaw"]))
 
 
 @dataclass
@@ -115,43 +137,25 @@ class ScenarioConfig:
                     f"platform path enters safety circle of {ob.to_dict()}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        known = {"name", "params", "nmpc", "cbf", "platform", "thresholds",
-                 "x0", "trials", "seed", "noise", "timeout"}
-        unknown = set(d) - known
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-        noise = d.get("noise", {})
-        if isinstance(noise, str):
-            try:
-                noise = noise_preset(noise)
-            except ValueError as e:
-                raise ScenarioError(str(e)) from e
-        else:
-            noise = _build(NoiseSigmas, noise, "noise")
-        try:
-            return cls(
-                name=str(d.get("name", "unnamed")),
-                params=_build(QuadrotorParams,
-                              {k: (np.array(v) if k == "J" else v)
-                               for k, v in (d.get("params") or {}).items()},
-                              "params"),
-                nmpc=_build(NmpcConfig, d.get("nmpc"), "nmpc"),
-                cbf=_cbf_from_dict(d.get("cbf")),
-                platform=_build(PlatformModel, d.get("platform"), "platform"),
-                thresholds=_build(PhaseThresholds, d.get("thresholds"),
-                                  "thresholds"),
-                x0=_x0_from(d.get("x0", {"pos": (0.0, 0.0, 2.0)})),
-                trials=int(d.get("trials", 10)),
-                seed=int(d.get("seed", 0)),
-                noise=noise,
-                timeout=float(d.get("timeout", 60.0)),
-            )
-        except ScenarioError:
-            raise
-        except (ValueError, TypeError) as e:
-            raise ScenarioError(f"invalid scenario: {e}") from e
+    def from_dict(cls, d) -> "ScenarioConfig":
+        """Beyond the fields, a scenario file may name a noise preset, give
+        x0 as {pos, vel, yaw}, and list obstacles as JSON objects."""
+        if isinstance(d, dict):
+            d = dict(d)
+            if isinstance(d.get("noise"), str):
+                try:
+                    d["noise"] = noise_preset(d["noise"])
+                except ValueError as e:
+                    raise ScenarioError(str(e)) from e
+            if isinstance(d.get("x0"), dict):
+                d["x0"] = _x0_from(d["x0"])
+            cbf = d.get("cbf")
+            if isinstance(cbf, dict) and isinstance(cbf.get("obstacles"),
+                                                    list):
+                d["cbf"] = {**cbf, "obstacles": [
+                    _build(ObstacleSpec, o, f"cbf.obstacles[{i}]")
+                    for i, o in enumerate(cbf["obstacles"])]}
+        return _build(cls, d, "scenario")
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -211,7 +215,7 @@ class TrialResult:
 
 
 def trial_result(log: TrialLog) -> TrialResult:
-    ms = log.solve_ms[~log.held] if log.n_steps else np.zeros(0)
+    ms_mean, ms_max = log.solve_ms_summary()
     return TrialResult(
         seed=log.seed,
         failed=not log.landed,
@@ -220,8 +224,8 @@ def trial_result(log: TrialLog) -> TrialResult:
                         if log.landed else None),
         min_h=log.min_h() if log.h.size else None,
         failure_reason=log.failure_reason,
-        solve_ms_mean=float(ms.mean()) if ms.size else None,
-        solve_ms_max=float(ms.max()) if ms.size else None,
+        solve_ms_mean=ms_mean,
+        solve_ms_max=ms_max,
     )
 
 
@@ -284,28 +288,19 @@ class BatchReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def run_trials(scenario: ScenarioConfig, trials: int = None,
-               base_seed: int = None, plant: str = "rk4") -> list:
-    """Run the batch sequentially with seeds base_seed..base_seed+n-1 and
-    return the logs in seed order."""
-    n = scenario.trials if trials is None else int(trials)
-    s0 = scenario.seed if base_seed is None else int(base_seed)
-    return [run_closed_loop(scenario, s0 + i, plant=plant) for i in range(n)]
+def run_trials(scenario: ScenarioConfig) -> list:
+    """Run the batch sequentially, scenario.trials seeds from
+    scenario.seed, and return the logs in seed order."""
+    return [run_closed_loop(scenario, scenario.seed + i)
+            for i in range(scenario.trials)]
 
 
-def batch_report(scenario: ScenarioConfig, logs, base_seed: int = None) \
-        -> BatchReport:
-    s0 = base_seed if base_seed is not None else \
-        (logs[0].seed if logs else scenario.seed)
-    return BatchReport(scenario=scenario.name, base_seed=s0,
+def batch_report(scenario: ScenarioConfig, logs) -> BatchReport:
+    """The report of a batch; its base seed is the first log's seed, or
+    the scenario's when there are no logs."""
+    return BatchReport(scenario=scenario.name,
+                       base_seed=logs[0].seed if logs else scenario.seed,
                        results=[trial_result(log) for log in logs])
-
-
-def run_batch(scenario: ScenarioConfig, trials: int = None,
-              base_seed: int = None, plant: str = "rk4") -> BatchReport:
-    s0 = scenario.seed if base_seed is None else int(base_seed)
-    logs = run_trials(scenario, trials, s0, plant)
-    return batch_report(scenario, logs, base_seed=s0)
 
 
 # -- rendering -------------------------------------------------------------------

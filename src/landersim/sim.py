@@ -26,6 +26,9 @@ _PLANT_SUBSTEPS = 10
 # it has failed, wherever it came to rest
 H_FLOOR = -1e-5
 
+# phases whose rows apply no solve
+_NO_SOLVE = (LandingPhase.TOUCHDOWN.value, LandingPhase.LANDED.value)
+
 _STATE_COLS = ["px", "py", "pz", "vx", "vy", "vz",
                "roll", "pitch", "yaw", "wx", "wy", "wz"]
 
@@ -128,6 +131,15 @@ class TrialLog:
             return float("inf")
         return float(self.h.min())
 
+    def solve_ms_summary(self) -> tuple:
+        """Mean and max solve time over the cycles that called the solver
+        (APPROACH, TRACK and DESCEND rows, held ones included), or
+        (None, None) when there are none."""
+        ms = self.solve_ms[np.isin(self.phases, _NO_SOLVE, invert=True)]
+        if not ms.size:
+            return None, None
+        return float(ms.mean()), float(ms.max())
+
     def header(self) -> list:
         cols = ["t"] + _STATE_COLS + ["u1", "u2", "u3", "u4"]
         cols += ["pred_" + c for c in _STATE_COLS]
@@ -170,6 +182,7 @@ class TrialLog:
     def summary_dict(self) -> dict:
         """Terminal-summary sidecar content, wall-clock solve times
         included."""
+        ms_mean, ms_max = self.solve_ms_summary()
         return {
             "scenario": self.scenario,
             "seed": self.seed,
@@ -180,10 +193,8 @@ class TrialLog:
             "min_h": None if self.h.size == 0 else self.min_h(),
             "holds": int(self.held.sum()),
             "terminal": self.terminal,
-            "solve_ms_mean": float(self.solve_ms.mean())
-            if self.n_steps else 0.0,
-            "solve_ms_max": float(self.solve_ms.max())
-            if self.n_steps else 0.0,
+            "solve_ms_mean": ms_mean,
+            "solve_ms_max": ms_max,
         }
 
 
@@ -209,9 +220,8 @@ class _Recorder:
 
     def freeze(self, terminal, failed, reason) -> TrialLog:
         n = len(self.rows)
-        cols = list(zip(*self.rows)) if n else [[] for _ in range(16)]
-        arr = lambda i, shape: (np.array(cols[i], dtype=float).reshape(shape)
-                                if n else np.zeros(shape))
+        cols = list(zip(*self.rows)) or [()] * 16
+        arr = lambda i, shape: np.array(cols[i], dtype=float).reshape(shape)
         return TrialLog(
             scenario=self.scenario, seed=self.seed, dt=self.dt,
             t=arr(0, (n,)),
@@ -220,19 +230,15 @@ class _Recorder:
             predicted=arr(3, (n, 12)),
             platform_pos=arr(4, (n, 3)),
             platform_vel=arr(5, (n, 3)),
-            phases=list(cols[6]) if n else [],
-            converged=np.array(cols[7], dtype=bool) if n
-            else np.zeros(0, dtype=bool),
-            iterations=np.array(cols[8], dtype=int) if n
-            else np.zeros(0, dtype=int),
-            inner_iterations=np.array(cols[9], dtype=int) if n
-            else np.zeros(0, dtype=int),
+            phases=list(cols[6]),
+            converged=np.array(cols[7], dtype=bool),
+            iterations=np.array(cols[8], dtype=int),
+            inner_iterations=np.array(cols[9], dtype=int),
             kkt=arr(10, (n,)),
             defect=arr(11, (n,)),
             min_residual=arr(12, (n,)),
             solve_ms=arr(13, (n,)),
-            held=np.array(cols[14], dtype=bool) if n
-            else np.zeros(0, dtype=bool),
+            held=np.array(cols[14], dtype=bool),
             h=arr(15, (n, self.n_obs)),
             terminal=terminal, failed=failed, failure_reason=reason,
         )
@@ -350,9 +356,6 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
         failed = True
         reason = f"timeout after {scenario.timeout:g} s"
 
-    if terminal is None and not failed:
-        failed = True
-        reason = reason or f"timeout after {scenario.timeout:g} s"
     log = rec.freeze(terminal, failed, reason)
     if not failed and log.min_h() < H_FLOOR:
         # judged once the trial is over, so no step of the loop changes

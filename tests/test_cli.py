@@ -131,6 +131,16 @@ def test_zero_iteration_budget_exits_two(tmp_path, capsys, budget):
     assert not (tmp_path / "o").exists()
 
 
+def test_misshapen_field_exits_two_before_running(tmp_path, capsys):
+    # a q of the wrong length would fail to broadcast inside the solver
+    sc = tmp_path / "short_q.json"
+    sc.write_text(json.dumps({"nmpc": {"q": [1, 2]}}))
+    for cmd in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+        assert main([*cmd, "--scenario", str(sc)]) == 2
+        assert "error: invalid scenario: nmpc.q" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_trials_override_validated(tmp_path):
     rc = main(["run", "--scenario", "static_clear", "--trials", "0",
                "--out", str(tmp_path)])

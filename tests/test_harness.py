@@ -1,6 +1,7 @@
 """Harness tests: FPE metric, scenario validation, batch reports and their
 canonical serialization, table rendering."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from landersim.harness import (BatchReport, ScenarioConfig, ScenarioError,
                                TrialResult, batch_report, final_point_error,
-                               load_scenario, render_table, run_batch,
-                               run_trials, trial_result)
+                               load_scenario, render_table, run_trials,
+                               trial_result)
 from landersim.sim import TrialLog, noise_preset
 
 
@@ -35,8 +36,8 @@ def _mini_log(drone, plat, seed=0, terminal=True):
 
 @pytest.fixture(scope="module")
 def small_batch():
-    sc = load_scenario("static_clear")
-    logs = run_trials(sc, trials=2)
+    sc = dataclasses.replace(load_scenario("static_clear"), trials=2)
+    logs = run_trials(sc)
     return sc, logs, batch_report(sc, logs)
 
 
@@ -82,6 +83,30 @@ def test_unknown_nested_key():
     for key in ("horizon", "cbf_margin"):
         with pytest.raises(ScenarioError, match="unknown nmpc keys"):
             ScenarioConfig.from_dict({"nmpc": {key: 0.1}})
+
+
+@pytest.mark.parametrize("d, field", [
+    ({"cbf": {"obstacles": [{"center": [1], "radius": 0.2}]}},
+     r"cbf\.obstacles\[0\]: center"),
+    ({"platform": {"p0": [1]}}, r"platform\.p0"),
+    ({"params": None, "noise": 3}, "params"),
+    ({"noise": 3}, "noise"),
+    ({"timeout": "inf"}, "timeout"),
+    ({"timeout": float("inf")}, "timeout"),
+    ({"nmpc": {"n": 2.5}}, r"nmpc\.n"),
+    ({"nmpc": {"q": [1, 2]}}, r"nmpc\.q"),
+    ({"platform": {"kind": "constant_velocity", "vel": [0.5]}},
+     r"platform\.vel"),
+    ({"trials": 2.5}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"seed": 2.7}, "seed"),
+    ([], "scenario"),
+    ({"cbf": []}, "cbf"),
+])
+def test_field_kind_and_shape_checked(d, field):
+    # each value takes the kind and shape of its field's default
+    with pytest.raises(ScenarioError, match=f"^{field}"):
+        ScenarioConfig.from_dict(d)
 
 
 def test_trials_and_timeout_bounds():
@@ -174,9 +199,10 @@ def test_trial_result_of_real_trial(small_batch):
 def test_run_trials_seed_sequence(small_batch):
     _, logs, _ = small_batch
     assert [lg.seed for lg in logs] == [0, 1]
-    sc = load_scenario("static_clear")
-    shifted = run_trials(sc, trials=1, base_seed=5)
-    assert shifted[0].seed == 5
+    sc = dataclasses.replace(load_scenario("static_clear"), trials=1, seed=5)
+    shifted = run_trials(sc)
+    assert [lg.seed for lg in shifted] == [5]
+    assert batch_report(sc, shifted).base_seed == 5
 
 
 def test_report_aggregates_over_successes():
@@ -213,12 +239,11 @@ def test_empty_batch_renders():
     json.loads(rep.to_json())         # serializes despite the nulls
 
 
-def test_run_batch_of_zero_trials():
-    sc = load_scenario("static_clear")
-    rep = run_batch(sc, trials=0, base_seed=7)
+def test_batch_report_of_no_trials():
+    sc = dataclasses.replace(load_scenario("static_clear"), seed=7)
+    rep = batch_report(sc, [])
     assert rep.n_trials == 0 and rep.base_seed == 7
     assert "trials: 0" in render_table(rep)
-    assert run_batch(sc, trials=0).base_seed == sc.seed
 
 
 def test_render_table_golden(datadir):

@@ -5,14 +5,18 @@ import csv
 import dataclasses
 import io
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from landersim import sim
 from landersim.dynamics import SimulationFault
-from landersim.harness import load_scenario, run_trials
+from landersim.harness import (ScenarioConfig, ScenarioError, load_scenario,
+                               run_trials, trial_result)
 from landersim.ocp import NmpcSolver, SolverDiverged
 from landersim.platform import PlatformModel
 from landersim.sim import (H_FLOOR, NOISE_PRESETS, NoiseSigmas,
@@ -211,6 +215,20 @@ def test_summary_timing_flag(static_log):
     assert "solve_ms_mean" in with_t and "solve_ms_max" in with_t
 
 
+def test_solve_time_summary_is_over_solver_cycles(static_log):
+    # the sidecar and the report row read one summary of the cycles that
+    # called the solver; touchdown and landed rows solve nothing
+    side = static_log.summary_dict()
+    row = trial_result(static_log)
+    assert (side["solve_ms_mean"], side["solve_ms_max"]) \
+        == (row.solve_ms_mean, row.solve_ms_max)
+    solved = [p not in ("TOUCHDOWN", "LANDED") for p in static_log.phases]
+    assert not all(solved)
+    assert side["solve_ms_mean"] == pytest.approx(
+        static_log.solve_ms[solved].mean(), rel=1e-12)
+    assert side["solve_ms_max"] == static_log.solve_ms[solved].max()
+
+
 def test_noisy_trial_still_lands():
     sc = load_scenario("static_clear")
     sc = dataclasses.replace(sc, noise=noise_preset("mocap"))
@@ -272,13 +290,31 @@ def test_plant_fault_fails_the_trial_not_the_batch(monkeypatch):
             raise SimulationFault("non-finite state component")
         return real(*args, **kwargs)
     monkeypatch.setattr(sim, "rk4_step", faulty)
-    sc = dataclasses.replace(load_scenario("static_clear"), timeout=1.0)
-    logs = run_trials(sc, trials=2)
+    sc = dataclasses.replace(load_scenario("static_clear"), timeout=1.0,
+                             trials=2)
+    logs = run_trials(sc)
     assert [lg.seed for lg in logs] == [0, 1]
     assert logs[0].failed and not logs[0].landed
     assert logs[0].failure_reason == "plant fault: non-finite state component"
     assert logs[0].n_steps == 5
     assert logs[1].failed and "timeout" in logs[1].failure_reason
+
+
+def test_zero_step_trial():
+    # round(0.04 / 0.1) = 0 control cycles fit the timeout
+    sc = dataclasses.replace(load_scenario("static_obstacle"), timeout=0.04)
+    log = run_closed_loop(sc, seed=0)
+    assert log.failed and log.status == "FAILED"
+    assert log.failure_reason == "timeout after 0.04 s"
+    assert log.n_steps == 0 and log.phases == []
+    for name in ("t", "converged", "iterations", "inner_iterations", "kkt",
+                 "defect", "min_residual", "solve_ms", "held"):
+        assert getattr(log, name).shape == (0,), name
+    for name, k in (("states", 12), ("controls", 4), ("predicted", 12),
+                    ("platform_pos", 3), ("platform_vel", 3), ("h", 1)):
+        assert getattr(log, name).shape == (0, k), name
+    assert log.to_csv_string() == ",".join(log.header()) + "\n"
+    assert log.solve_ms_summary() == (None, None)
 
 
 def test_timeout_marks_failure():
@@ -301,3 +337,50 @@ def test_broken_safety_floor_fails_the_trial():
     assert re.fullmatch(r"safety floor broken: h -0\.197 at t \d+\.\d s",
                         log.failure_reason)
     assert log.terminal is not None     # it did reach the platform
+
+
+# -- robustness inside the validation limits ----------------------------------
+
+
+@st.composite
+def _valid_scenarios(draw):
+    """Scenarios at the edges validation allows: platforms at the 2 m/s
+    speed limit, 0-2 obstacles, any noise preset, and initial velocities
+    anywhere in the solver's 3 m/s box."""
+    unit = lambda a: (math.cos(a), math.sin(a), 0.0)
+    d = draw(st.floats(0.0, 2.0 * math.pi))
+    kind = draw(st.sampled_from(["static", "constant_velocity",
+                                 "sinusoidal"]))
+    platform = {"kind": kind, "p0": [draw(st.floats(-2.0, 2.0)),
+                                     draw(st.floats(-2.0, 2.0)), 0.0]}
+    if kind == "constant_velocity":
+        # a hair under 2 m/s, so rounding cannot lift it over the limit
+        platform["vel"] = [2.0 * (1 - 1e-12) * c for c in unit(d)]
+    elif kind == "sinusoidal":
+        period = draw(st.floats(2.0, 8.0))
+        peak_amp = period / math.pi * (1 - 1e-12)   # peak speed 2 m/s
+        platform.update(period=period,
+                        amplitude=[peak_amp * c for c in unit(d)])
+    obstacles = draw(st.lists(st.fixed_dictionaries({
+        "center": st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        "radius": st.floats(0.05, 0.3)}), max_size=2))
+    vel = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    try:
+        sc = ScenarioConfig.from_dict({
+            "platform": platform,
+            "cbf": {"obstacles": obstacles},
+            "x0": {"pos": [0.0, 0.0, 2.0], "vel": list(vel)},
+            "noise": draw(st.sampled_from(["none", "mocap", "coarse"])),
+            "timeout": 4.0})
+    except ScenarioError:
+        assume(False)           # an obstacle on the start or the path
+    return sc, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(_valid_scenarios())
+def test_valid_scenarios_run_to_a_verdict(case):
+    sc, seed = case
+    log = run_closed_loop(sc, seed)
+    assert log.status in ("LANDED", "FAILED")
+    assert log.landed or log.failure_reason
