@@ -28,14 +28,20 @@ class ScenarioError(ValueError):
 _KINDS = {int: "an integer", str: "a string", list: "a list"}
 
 
+def _default(f):
+    return f.default if f.default_factory is dataclasses.MISSING \
+        else f.default_factory()
+
+
 def _checked(name, default, v):
-    """v, once it has the kind and shape of the field's default: a section
-    is a JSON object built into its dataclass, an int, str or list default
-    takes only its own type (so no bool for an int), and a float or vector
+    """v, once it has the kind and shape of the field's default. A section
+    takes a JSON object or an instance, read as the object of its fields,
+    and is built anew into its dataclass; an int, str or list default
+    takes only its own type (so no bool for an int); a float or vector
     default takes finite numbers of its shape."""
     if dataclasses.is_dataclass(default):
-        if isinstance(v, type(default)):    # a noise preset
-            return v
+        if isinstance(v, type(default)):
+            v = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
         return _build(type(default), v, name)
     if type(default) in _KINDS:
         ok, kind = type(v) is type(default), _KINDS[type(default)]
@@ -65,9 +71,7 @@ def _build(cls, d, what):
         raise ScenarioError(f"unknown {what} keys: {sorted(unknown)}")
     kw = {}
     for k, v in d.items():
-        f = fields[k]
-        default = f.default if f.default_factory is dataclasses.MISSING \
-            else f.default_factory()
+        default = _default(fields[k])
         name = k if cls is ScenarioConfig else f"{what}.{k}"
         kw[k] = v if default is dataclasses.MISSING \
             else _checked(name, default, v)
@@ -107,6 +111,10 @@ class ScenarioConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
+        # the checks of a scenario file, for library callers too
+        for f in dataclasses.fields(self):
+            setattr(self, f.name,
+                    _checked(f.name, _default(f), getattr(self, f.name)))
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.trials < 1:
             raise ScenarioError("trials must be at least 1")
@@ -121,8 +129,6 @@ class ScenarioConfig:
         nominal initial state must stay outside every obstacle safety
         circle (starts should clear them by more than the 0.3 m seed
         perturbation)."""
-        if not np.all(np.isfinite(self.x0)):
-            raise ScenarioError("x0 must be finite")
         if not self.cbf.obstacles:
             return
         ts = np.arange(0.0, self.timeout + self.nmpc.dt, self.nmpc.dt)

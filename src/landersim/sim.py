@@ -8,9 +8,8 @@ horizon has to absorb. Feedback is ideal by default, with optional
 per-group Gaussian noise for robustness experiments.
 """
 
-import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,39 +75,51 @@ def add_state_noise(state, sigmas: NoiseSigmas, rng) -> np.ndarray:
     return x + rng.normal(0.0, 1.0, 12) * scale
 
 
+def _column(names, dtype=float, sol=None):
+    """A per-cycle TrialLog field: its CSV column name (one value a row),
+    list of names (a row vector) or list as a function of the obstacle
+    count, its dtype, and the OcpSolution attribute a solver column logs."""
+    return field(metadata={"names": names, "dtype": dtype, "sol": sol})
+
+
 @dataclass
 class TrialLog:
     """Step-by-step record of one closed-loop trial.
 
-    Rows are logged once per control period at t = k*dt; states are the
-    plant truth, predicted is the Euler image of the measured state under
-    the applied control (the prediction the next row can be held against).
-    iterations and inner_iterations are the solver's outer and inner
-    iteration counts (0 on rows without a solve); inner iterations are the
-    unit of the real-time budget nmpc.max_inner_total. terminal is present
-    exactly when the trial reached the LANDED phase; such a trial still
-    fails if its logged barrier minimum broke H_FLOOR.
+    Rows are logged once per control period at t = k*dt. The per-cycle
+    fields are declared below in CSV order with their column names, dtype
+    and, for a solver column, the OcpSolution attribute it logs (NaN, 0 or
+    False, by dtype, on rows without a solve); the recorder, header() and
+    to_csv_string() read that declaration only. states are the plant
+    truth; predicted is the Euler image of the measured state under the
+    applied control (NaN where that state faulted the model). iterations
+    and inner_iterations count the solver's outer and inner iterations,
+    the latter the unit of the real-time budget nmpc.max_inner_total.
+    terminal is present exactly when the trial reached the LANDED phase;
+    such a trial still fails if its logged barrier minimum broke H_FLOOR.
     """
 
     scenario: str
     seed: int
     dt: float
-    t: np.ndarray
-    states: np.ndarray
-    controls: np.ndarray
-    predicted: np.ndarray
-    platform_pos: np.ndarray
-    platform_vel: np.ndarray
-    phases: list
-    converged: np.ndarray
-    iterations: np.ndarray
-    inner_iterations: np.ndarray
-    kkt: np.ndarray
-    defect: np.ndarray
-    min_residual: np.ndarray
-    solve_ms: np.ndarray
-    held: np.ndarray
-    h: np.ndarray
+    t: np.ndarray = _column("t")
+    states: np.ndarray = _column(_STATE_COLS)
+    controls: np.ndarray = _column(["u1", "u2", "u3", "u4"])
+    predicted: np.ndarray = _column(["pred_" + c for c in _STATE_COLS])
+    platform_pos: np.ndarray = _column(["plat_x", "plat_y", "plat_z"])
+    platform_vel: np.ndarray = _column(["plat_vx", "plat_vy", "plat_vz"])
+    phases: list = _column("phase", str)
+    converged: np.ndarray = _column("converged", bool, "converged")
+    iterations: np.ndarray = _column("iterations", int, "iterations")
+    inner_iterations: np.ndarray = _column("inner_iterations", int,
+                                           "inner_iterations")
+    kkt: np.ndarray = _column("kkt", float, "kkt_residual")
+    defect: np.ndarray = _column("defect", float, "defect_norm")
+    min_residual: np.ndarray = _column("min_residual", float,
+                                       "min_cbf_residual")
+    solve_ms: np.ndarray = _column("solve_ms")
+    held: np.ndarray = _column("held", bool)
+    h: np.ndarray = _column(lambda n_obs: [f"h_{j}" for j in range(n_obs)])
     terminal: dict = None
     failed: bool = False
     failure_reason: str = ""
@@ -141,39 +152,24 @@ class TrialLog:
         return float(ms.mean()), float(ms.max())
 
     def header(self) -> list:
-        cols = ["t"] + _STATE_COLS + ["u1", "u2", "u3", "u4"]
-        cols += ["pred_" + c for c in _STATE_COLS]
-        cols += ["plat_x", "plat_y", "plat_z",
-                 "plat_vx", "plat_vy", "plat_vz", "phase", "converged",
-                 "iterations", "inner_iterations", "kkt", "defect",
-                 "min_residual", "solve_ms", "held"]
-        cols += [f"h_{j}" for j in range(self.h.shape[1])]
-        return cols
+        return [c for f in _PER_CYCLE
+                for c in _layout(f, self.h.shape[1])[0]]
 
     def to_csv_string(self) -> str:
         """Columnar CSV, one row per step. Floats use repr (shortest
-        round-trip), so identical logs serialize to identical bytes."""
-        out = io.StringIO()
-        out.write(",".join(self.header()) + "\n")
-        for k in range(self.n_steps):
-            row = [repr(float(self.t[k]))]
-            row += [repr(float(v)) for v in self.states[k]]
-            row += [repr(float(v)) for v in self.controls[k]]
-            row += [repr(float(v)) for v in self.predicted[k]]
-            row += [repr(float(v)) for v in self.platform_pos[k]]
-            row += [repr(float(v)) for v in self.platform_vel[k]]
-            row.append(self.phases[k])
-            row.append(str(int(self.converged[k])))
-            row.append(str(int(self.iterations[k])))
-            row.append(str(int(self.inner_iterations[k])))
-            row.append(repr(float(self.kkt[k])))
-            row.append(repr(float(self.defect[k])))
-            row.append(repr(float(self.min_residual[k])))
-            row.append(repr(float(self.solve_ms[k])))
-            row.append(str(int(self.held[k])))
-            row += [repr(float(v)) for v in self.h[k]]
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
+        round-trip) and flags and counts print as integers, so identical
+        logs serialize to identical bytes."""
+        cells = []
+        for f in _PER_CYCLE:
+            dtype = f.metadata["dtype"]
+            a = np.asarray(getattr(self, f.name),
+                           dtype=int if dtype is bool else dtype)
+            width = len(_layout(f, self.h.shape[1])[0])
+            fmt = repr if dtype is float else str
+            cells.append([[fmt(v) for v in row]
+                          for row in a.reshape(self.n_steps, width).tolist()])
+        rows = [self.header()] + [sum(row, []) for row in zip(*cells)]
+        return "".join(",".join(row) + "\n" for row in rows)
 
     def write_csv(self, path):
         with open(path, "w") as f:
@@ -198,50 +194,44 @@ class TrialLog:
         }
 
 
+_PER_CYCLE = [f for f in fields(TrialLog) if f.metadata]
+
+
+def _layout(f, n_obs) -> tuple:
+    """CSV column names and per-row shape of per-cycle field f."""
+    names = f.metadata["names"]
+    names = names(n_obs) if callable(names) else names
+    return ([names], ()) if isinstance(names, str) else (names, (len(names),))
+
+
 class _Recorder:
-    """Accumulates per-step rows and freezes them into a TrialLog."""
+    """Accumulates per-cycle rows and freezes them into a TrialLog."""
 
-    def __init__(self, scenario, seed, dt, n_obs):
-        self.scenario, self.seed, self.dt, self.n_obs = \
-            scenario, seed, dt, n_obs
-        self.rows = []
+    def __init__(self, n_obs, **head):
+        self.n_obs, self.head = n_obs, head
+        self.cols = {f.name: [] for f in _PER_CYCLE}
 
-    def add(self, t, x, u, pred, p_plat, v_plat, phase, sol, solve_ms,
-            held, h):
-        self.rows.append((t, x.copy(), u.copy(), pred.copy(), p_plat.copy(),
-                          v_plat.copy(), phase.value,
-                          sol is not None and sol.converged,
-                          0 if sol is None else sol.iterations,
-                          0 if sol is None else sol.inner_iterations,
-                          np.nan if sol is None else sol.kkt_residual,
-                          np.nan if sol is None else sol.defect_norm,
-                          np.nan if sol is None else sol.min_cbf_residual,
-                          solve_ms, held, np.asarray(h, dtype=float)))
+    def add(self, sol, **row):
+        """One cycle: the solver columns from sol, or NaN, 0 or False when
+        the cycle applied no solve (sol None), the others from row."""
+        for f in _PER_CYCLE:
+            dtype, attr = f.metadata["dtype"], f.metadata["sol"]
+            if attr is None:
+                v = row[f.name]
+            elif sol is None:
+                v = np.nan if dtype is float else dtype()
+            else:
+                v = getattr(sol, attr)
+            self.cols[f.name].append(v if dtype is str else np.array(v, dtype))
 
     def freeze(self, terminal, failed, reason) -> TrialLog:
-        n = len(self.rows)
-        cols = list(zip(*self.rows)) or [()] * 16
-        arr = lambda i, shape: np.array(cols[i], dtype=float).reshape(shape)
-        return TrialLog(
-            scenario=self.scenario, seed=self.seed, dt=self.dt,
-            t=arr(0, (n,)),
-            states=arr(1, (n, 12)),
-            controls=arr(2, (n, 4)),
-            predicted=arr(3, (n, 12)),
-            platform_pos=arr(4, (n, 3)),
-            platform_vel=arr(5, (n, 3)),
-            phases=list(cols[6]),
-            converged=np.array(cols[7], dtype=bool),
-            iterations=np.array(cols[8], dtype=int),
-            inner_iterations=np.array(cols[9], dtype=int),
-            kkt=arr(10, (n,)),
-            defect=arr(11, (n,)),
-            min_residual=arr(12, (n,)),
-            solve_ms=arr(13, (n,)),
-            held=np.array(cols[14], dtype=bool),
-            h=arr(15, (n, self.n_obs)),
-            terminal=terminal, failed=failed, failure_reason=reason,
-        )
+        n = len(self.cols["t"])
+        cols = {f.name: self.cols[f.name] if f.metadata["dtype"] is str
+                else np.array(self.cols[f.name], f.metadata["dtype"])
+                .reshape((n,) + _layout(f, self.n_obs)[1])
+                for f in _PER_CYCLE}
+        return TrialLog(**self.head, **cols, terminal=terminal,
+                        failed=failed, failure_reason=reason)
 
 
 def _surface_under(x, p_plat, model) -> float:
@@ -250,6 +240,16 @@ def _surface_under(x, p_plat, model) -> float:
     if np.hypot(x[0] - p_plat[0], x[1] - p_plat[1]) <= model.surface_radius:
         return float(p_plat[2])
     return 0.0
+
+
+def _plant_step(x, u, dt, params, z_surface, plant) -> np.ndarray:
+    """The plant over one control period: RK4 substeps, or with plant
+    "euler" one step of the prediction model."""
+    if plant == "euler":
+        return euler_step(x, u, dt, params, z_surface)
+    for _ in range(_PLANT_SUBSTEPS):
+        x = rk4_step(x, u, dt / _PLANT_SUBSTEPS, params, z_surface)
+    return x
 
 
 def perturb_initial_state(x0, rng) -> np.ndarray:
@@ -282,7 +282,8 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
 
     solver = NmpcSolver(cfg, cbf, params)
     tracker = PhaseTracker(thresholds=thr, dt=cfg.dt)
-    rec = _Recorder(scenario.name, seed, cfg.dt, cbf.n_obstacles)
+    rec = _Recorder(cbf.n_obstacles, scenario=scenario.name, seed=seed,
+                    dt=cfg.dt)
 
     warm = None
     u_prev = hover_control(params)
@@ -299,59 +300,50 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
         p_plat, v_plat = platform_state_at(model, t)
         x_meas = add_state_noise(x, noise, rng)
         phase = tracker.step(x_meas, p_plat, v_plat)
-        h_now = (barrier_values_all(x[0:2], cbf).ravel()
-                 if cbf.obstacles else np.zeros(0))
-
+        # without a solve the thrust is cut; contact holds the vehicle, so
+        # the plant freezes
+        sol, u, held, solve_ms = None, u_zero, False, 0.0
+        pred = x_next = x
         if phase is LandingPhase.TOUCHDOWN:
-            # thrust cut; contact holds the vehicle, so the plant freezes
             pending = {"touchdown_time": float(t),
                        "drone_position": [float(v) for v in x[0:3]],
                        "platform_position": [float(v) for v in p_plat]}
-            rec.add(t, x, u_zero, x, p_plat, v_plat, phase, None, 0.0,
-                    False, h_now)
-            continue
-        if phase is LandingPhase.LANDED:
+        elif phase is LandingPhase.LANDED:
             terminal = pending
-            rec.add(t, x, u_zero, x, p_plat, v_plat, phase, None, 0.0,
-                    False, h_now)
+        else:
+            z_surface = _surface_under(x, p_plat, model)
+            plan = build_reference_plan(phase, p_plat, v_plat, yaw_ref, cfg,
+                                        thr, tracker.time_in_descend)
+            tic = time.perf_counter()
+            try:
+                sol = solver.solve(x_meas, plan, warm=warm,
+                                   z_surface=z_surface)
+                u, warm, holds = sol.u_apply, sol.warm.shifted(), 0
+            except SolverDiverged:
+                u, warm, held = u_prev, None, True
+                holds += 1
+            solve_ms = (time.perf_counter() - tic) * 1e3
+            if holds >= 3:
+                failed = True
+                reason = "solver diverged on 3 consecutive cycles"
+            pred = np.full(12, np.nan)
+            try:
+                # the prediction checks the measured state, the plant the truth
+                pred = euler_step(x_meas, u, cfg.dt, params, z_surface)
+                if not failed:
+                    x_next = _plant_step(x, u, cfg.dt, params, z_surface,
+                                         plant)
+            except SimulationFault as exc:
+                failed = True
+                reason = f"plant fault: {exc}"
+        rec.add(sol, t=t, states=x, controls=u, predicted=pred,
+                platform_pos=p_plat, platform_vel=v_plat, phases=phase.value,
+                solve_ms=solve_ms, held=held,
+                h=(barrier_values_all(x[0:2], cbf).ravel()
+                   if cbf.obstacles else np.zeros(0)))
+        if failed or phase is LandingPhase.LANDED:
             break
-
-        z_surface = _surface_under(x, p_plat, model)
-        plan = build_reference_plan(phase, p_plat, v_plat, yaw_ref, cfg,
-                                    thr, tracker.time_in_descend)
-        tic = time.perf_counter()
-        try:
-            sol = solver.solve(x_meas, plan, warm=warm, z_surface=z_surface)
-            u = sol.u_apply
-            warm = sol.warm.shifted()
-            holds = 0
-        except SolverDiverged:
-            sol = None
-            u = u_prev
-            warm = None
-            holds += 1
-        solve_ms = (time.perf_counter() - tic) * 1e3
-
-        pred = euler_step(x_meas, u, cfg.dt, params, z_surface)
-        rec.add(t, x, u, pred, p_plat, v_plat, phase, sol, solve_ms,
-                sol is None, h_now)
-        if holds >= 3:
-            failed = True
-            reason = "solver diverged on 3 consecutive cycles"
-            break
-
-        try:
-            if plant == "euler":
-                x = euler_step(x, u, cfg.dt, params, z_surface)
-            else:
-                sub = cfg.dt / _PLANT_SUBSTEPS
-                for _ in range(_PLANT_SUBSTEPS):
-                    x = rk4_step(x, u, sub, params, z_surface)
-        except SimulationFault as exc:
-            failed = True
-            reason = f"plant fault: {exc}"
-            break
-        u_prev = u
+        x, u_prev = x_next, u
     else:
         failed = True
         reason = f"timeout after {scenario.timeout:g} s"

@@ -110,6 +110,22 @@ def test_failed_batch_exits_one(tmp_path):
     assert "timeout" in d["results"][0]["failure_reason"]
 
 
+def test_start_past_the_attitude_limit_exits_one(tmp_path):
+    # valid, but the first cycle's state faults the model: the trial fails
+    # with its reason and no exception escapes the run
+    sc = tmp_path / "tilted.json"
+    sc.write_text(json.dumps({"x0": [0, 0, 2, 0, 0, 0, 1.7, 0, 0, 0, 0, 0]}))
+    out = tmp_path / "out"
+    cp = _lander("run", "--scenario", str(sc), "--trials", "2",
+                 "--out", str(out))
+    assert cp.returncode == 1
+    assert "Traceback" not in cp.stderr
+    reasons = [r["failure_reason"] for r in
+               json.loads((out / "report.json").read_text())["results"]]
+    assert len(reasons) == 2
+    assert all(r.startswith("plant fault: attitude outside") for r in reasons)
+
+
 def test_invalid_scenario_exits_two(tmp_path, capsys):
     sc = tmp_path / "bad.json"
     sc.write_text(json.dumps({"nmae": "typo"}))
@@ -225,12 +241,15 @@ def test_console_script_installed():
     assert cp.returncode == 0
 
 
-def test_module_invocation():
-    # the child imports the same landersim as the tests, installed or not
+def _lander(*args):
+    """python -m landersim.cli in a child process that imports the same
+    landersim as the tests, installed or not."""
     root = str(Path(landersim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    cp = subprocess.run([sys.executable, "-m", "landersim.cli", "validate",
-                         "--scenario", "static_clear"],
-                        capture_output=True, text=True,
-                        env={**os.environ, "PYTHONPATH": path})
-    assert cp.returncode == 0
+    return subprocess.run([sys.executable, "-m", "landersim.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_invocation():
+    assert _lander("validate", "--scenario", "static_clear").returncode == 0

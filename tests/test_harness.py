@@ -3,6 +3,9 @@ canonical serialization, table rendering."""
 
 import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from landersim.harness import (BatchReport, ScenarioConfig, ScenarioError,
                                TrialResult, batch_report, final_point_error,
                                load_scenario, render_table, run_trials,
                                trial_result)
-from landersim.sim import TrialLog, noise_preset
+from landersim.ocp import NmpcConfig
+from landersim.sim import NoiseSigmas, TrialLog, noise_preset
 
 
 def _mini_log(drone, plat, seed=0, terminal=True):
@@ -107,6 +111,30 @@ def test_field_kind_and_shape_checked(d, field):
     # each value takes the kind and shape of its field's default
     with pytest.raises(ScenarioError, match=f"^{field}"):
         ScenarioConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"trials": 2.5}, "trials"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"timeout": math.inf}, "timeout"),
+    ({"timeout": math.nan}, "timeout"),
+    ({"nmpc": NmpcConfig(n=2.5)}, r"nmpc\.n"),
+    ({"noise": NoiseSigmas(pos=math.nan)}, r"noise\.pos"),
+])
+def test_library_scenario_fields_checked(change, field):
+    # a scenario built in code passes the checks of a scenario file, into
+    # the fields of the section instances it holds
+    with pytest.raises(ScenarioError, match=f"^{field} must be"):
+        dataclasses.replace(load_scenario("static_clear"), **change)
+
+
+def test_readme_scenario_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    sc = ScenarioConfig.from_dict(json.loads(example))
+    assert sc.name == "custom" and sc.cbf.n_obstacles == 1
 
 
 def test_trials_and_timeout_bounds():

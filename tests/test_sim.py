@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,86 @@ def test_csv_h_columns_track_obstacles(static_log, obstacle_log):
     assert obstacle_log.header()[-1] == "h_0"
 
 
+_STATE_NAMES = ["px", "py", "pz", "vx", "vy", "vz",
+                "roll", "pitch", "yaw", "wx", "wy", "wz"]
+# the CSV columns of a one-obstacle log, in order, under the field each
+# group of columns logs
+_ONE_OBSTACLE_COLUMNS = {
+    "t": ["t"],
+    "states": _STATE_NAMES,
+    "controls": ["u1", "u2", "u3", "u4"],
+    "predicted": ["pred_" + c for c in _STATE_NAMES],
+    "platform_pos": ["plat_x", "plat_y", "plat_z"],
+    "platform_vel": ["plat_vx", "plat_vy", "plat_vz"],
+    "phases": ["phase"],
+    "converged": ["converged"],
+    "iterations": ["iterations"],
+    "inner_iterations": ["inner_iterations"],
+    "kkt": ["kkt"],
+    "defect": ["defect"],
+    "min_residual": ["min_residual"],
+    "solve_ms": ["solve_ms"],
+    "held": ["held"],
+    "h": ["h_0"],
+}
+
+
+def test_csv_header_of_one_obstacle_log(obstacle_log):
+    assert obstacle_log.header() == [
+        c for cols in _ONE_OBSTACLE_COLUMNS.values() for c in cols]
+
+
+def test_readme_lists_the_csv_columns(obstacle_log):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Trial logs"):]
+    section = section[:section.index("\n## ")]
+    cells = [line.split("|")[1] for line in section.splitlines()
+             if line.startswith("| `")]
+    assert [name for cell in cells for name in re.findall(r"`(.+?)`", cell)] \
+        == obstacle_log.header()
+
+
+def _zero_step_log():
+    # round(0.04 / 0.1) = 0 control cycles fit the timeout
+    sc = dataclasses.replace(load_scenario("static_obstacle"), timeout=0.04)
+    return run_closed_loop(sc, seed=0)
+
+
+@pytest.mark.parametrize("which", ["seed_0", "zero_step"])
+def test_csv_round_trips_bit_for_bit(which, obstacle_log):
+    log = obstacle_log if which == "seed_0" else _zero_step_log()
+    rows = list(csv.reader(io.StringIO(log.to_csv_string())))
+    cols = {name: [r[j] for r in rows[1:]] for j, name in enumerate(rows[0])}
+    assert list(cols) == log.header()
+    for field, names in _ONE_OBSTACLE_COLUMNS.items():
+        want = getattr(log, field)
+        text = [cols[name] for name in names]
+        if field == "phases":
+            assert text[0] == want
+        elif want.dtype != float:
+            # flags and counts print as plain integers, flags as 0 or 1
+            assert all(v == str(int(v)) for col in text for v in col)
+            assert want.dtype == (bool if field in ("converged", "held")
+                                  else int)
+            if want.dtype == bool:
+                assert set(text[0]) <= {"0", "1"}
+            got = np.array(text, dtype=int).T.reshape(want.shape)
+            assert np.array_equal(got, want), field
+        else:
+            got = np.array([[float(v) for v in col] for col in text],
+                           dtype=float).T.reshape(want.shape)
+            assert got.tobytes() == want.tobytes(), field
+    # rows without a solve: NaN in the solver's float columns, 0 elsewhere
+    no_solve = [k for k, ph in enumerate(log.phases)
+                if ph in ("TOUCHDOWN", "LANDED")]
+    assert bool(no_solve) == (which == "seed_0")
+    for k in no_solve:
+        assert [cols[n][k] for n in (
+            "converged", "iterations", "inner_iterations", "kkt", "defect",
+            "min_residual", "solve_ms", "held")] \
+            == ["0", "0", "0", "nan", "nan", "nan", "0.0", "0"]
+
+
 def test_inner_iterations_column_is_the_solver_count(monkeypatch):
     counts = []
     solve = NmpcSolver.solve
@@ -300,10 +381,21 @@ def test_plant_fault_fails_the_trial_not_the_batch(monkeypatch):
     assert logs[1].failed and "timeout" in logs[1].failure_reason
 
 
-def test_zero_step_trial():
-    # round(0.04 / 0.1) = 0 control cycles fit the timeout
-    sc = dataclasses.replace(load_scenario("static_obstacle"), timeout=0.04)
+def test_start_past_the_attitude_limit_fails_the_trial():
+    # the start passes validation, but its measured state faults the
+    # prediction model on the first cycle, before the plant steps
+    sc = ScenarioConfig.from_dict({"x0": [0, 0, 2, 0, 0, 0,
+                                          1.7, 0, 0, 0, 0, 0]})
     log = run_closed_loop(sc, seed=0)
+    assert log.failed and log.status == "FAILED"
+    assert log.failure_reason.startswith(
+        "plant fault: attitude outside the nonsingular range")
+    assert log.n_steps == 1
+    assert np.all(np.isnan(log.predicted[0]))
+
+
+def test_zero_step_trial():
+    log = _zero_step_log()
     assert log.failed and log.status == "FAILED"
     assert log.failure_reason == "timeout after 0.04 s"
     assert log.n_steps == 0 and log.phases == []
@@ -345,8 +437,9 @@ def test_broken_safety_floor_fails_the_trial():
 @st.composite
 def _valid_scenarios(draw):
     """Scenarios at the edges validation allows: platforms at the 2 m/s
-    speed limit, 0-2 obstacles, any noise preset, and initial velocities
-    anywhere in the solver's 3 m/s box."""
+    speed limit, 0-2 obstacles, any noise preset, initial velocities
+    anywhere in the solver's 3 m/s box, and initial roll and pitch
+    anywhere in (-pi, pi)."""
     unit = lambda a: (math.cos(a), math.sin(a), 0.0)
     d = draw(st.floats(0.0, 2.0 * math.pi))
     kind = draw(st.sampled_from(["static", "constant_velocity",
@@ -364,12 +457,18 @@ def _valid_scenarios(draw):
     obstacles = draw(st.lists(st.fixed_dictionaries({
         "center": st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
         "radius": st.floats(0.05, 0.3)}), max_size=2))
-    vel = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    vel = list(draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3)))
+    x0 = {"pos": [0.0, 0.0, 2.0], "vel": vel}
+    if draw(st.booleans()):
+        # a 12-vector start may tilt anywhere, singular attitudes included
+        tilt = st.floats(-math.pi, math.pi, exclude_min=True,
+                         exclude_max=True)
+        x0 = [0.0, 0.0, 2.0, *vel, draw(tilt), draw(tilt)] + [0.0] * 4
     try:
         sc = ScenarioConfig.from_dict({
             "platform": platform,
             "cbf": {"obstacles": obstacles},
-            "x0": {"pos": [0.0, 0.0, 2.0], "vel": list(vel)},
+            "x0": x0,
             "noise": draw(st.sampled_from(["none", "mocap", "coarse"])),
             "timeout": 4.0})
     except ScenarioError:
