@@ -66,7 +66,7 @@ def barrier_value(xy, obstacle: ObstacleSpec):
     """h at one or many planar points. xy has shape (2,) or (..., 2)."""
     xy = np.asarray(xy, dtype=float)
     d = xy - np.array(obstacle.center)
-    h = np.sum(d * d, axis=-1) - obstacle.r_safe ** 2
+    h = (d * d).sum(-1) - obstacle.r_safe ** 2
     if h.ndim == 0:
         return float(h)
     return h
@@ -81,8 +81,10 @@ def cbf_residual(xy_now, xy_next, obstacle: ObstacleSpec, gamma: float):
 def barrier_values_all(xy, cfg: CbfConfig) -> np.ndarray:
     """h for every obstacle, stacked on a new ... x n_obstacles axis."""
     xy = np.asarray(xy, dtype=float)
-    vals = [np.atleast_1d(barrier_value(xy, ob)) for ob in cfg.obstacles]
-    return np.stack(vals, axis=-1)
+    h = np.empty((xy.shape[:-1] or (1,)) + (len(cfg.obstacles),))
+    for j, ob in enumerate(cfg.obstacles):
+        h[..., j] = barrier_value(xy, ob)
+    return h
 
 
 def decay_envelope(h0: float, gamma: float, k) -> np.ndarray:

@@ -16,7 +16,8 @@ differentiable in height (see _ground_effect).
 All functions here are pure. The model is written once: the batched
 variants evaluate it on stacked rows (the optimizer's horizon), and on one
 state (12,) the same expressions run on Python floats, bit-identical to a
-one-row batch and without numpy's per-call overhead (the RK4 plant).
+one-row batch and without numpy's per-call overhead (the RK4 plant, whose
+four stages stay on floats, and the solver's exact rollout).
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ def hover_control(params: QuadrotorParams) -> np.ndarray:
     return np.full(4, params.hover_thrust())
 
 
-def check_state(x: np.ndarray):
-    """Raise SimulationFault for non-finite components or a singular attitude."""
-    v = x.tolist()
+def check_state(x):
+    """Raise SimulationFault for non-finite components or a singular
+    attitude. x is an array or a list of floats."""
+    v = x.tolist() if isinstance(x, np.ndarray) else x
     if not all(map(math.isfinite, v)):
         raise SimulationFault("non-finite state component")
     roll, pitch = v[6], v[7]
@@ -220,95 +222,98 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
 
 
 def _derivative_batch(X, U, params: QuadrotorParams, z_surface, jac):
-    """The vehicle model: f, and with jac also (A, B, Czz), over stacked rows
-    (n, 12) or one state (12,). Both public entry points run this one body,
-    so f is the same bits whether or not the Jacobians are asked for. One
-    state runs the same expressions on Python floats, which skips numpy's
-    per-call dispatch and gives the bits of a one-row batch."""
-    one = X.ndim == 1
-    mixm = params.mix_matrix()
-    tau = U @ mixm.T
+    """derivative_batch, and with jac its Jacobians, from the thrust sums and
+    torques of U. One state (12,) runs the model on Python floats."""
+    tau = U @ params.mix_matrix().T
+    if X.ndim == 1:
+        return np.array(_model(X.tolist(), sum(U.tolist()), tau.tolist(),
+                               params, z_surface))
+    return _model(X, U.sum(axis=1), tau, params, z_surface, jac)
+
+
+# df/dx: its constant entries, and the entries _model fills per row, in the
+# order it lists them, as flat indices into a row's 12 x 12 block
+_A0 = np.zeros(144)
+_A0[[3, 16, 29, 81]] = 1.0
+_A_AT = np.array([(3, 2), (4, 2), (5, 2), (3, 6), (4, 6), (5, 6), (3, 7),
+                  (4, 7), (5, 7), (3, 8), (4, 8), (6, 6), (6, 7), (6, 10),
+                  (6, 11), (7, 6), (7, 10), (7, 11), (8, 6), (8, 7), (8, 10),
+                  (8, 11), (9, 10), (9, 11), (10, 9), (10, 11), (11, 9),
+                  (11, 10)]) @ [12, 1]
+
+
+def _model(x, f_total, tau, params: QuadrotorParams, z_surface, jac=False):
+    """The vehicle model, written once: f, and with jac also (A, B, Czz);
+    every entry point runs this body, so f has the same bits whoever asks.
+    x is one state as a list of Python floats, with its thrust sum f_total
+    and torques tau as floats, which skips numpy's per-call dispatch and
+    returns f as a list; or stacked rows (n, 12), f_total (n,), tau (n, 3)."""
+    one = isinstance(x, list)
     if one:
-        _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.tolist()
-        cos, sin = math.cos, math.sin
-        f_total = sum(U.tolist())
+        _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = x
+        cr, cp, cy = math.cos(roll), math.cos(pitch), math.cos(yaw)
+        sr, sp, sy = math.sin(roll), math.sin(pitch), math.sin(yaw)
         k_ge = _ground_effect(pz, params, z_surface, grad=0)
-        t1, t2, t3 = tau.tolist()
+        t1, t2, t3 = tau
     else:
-        _, _, pz, vx, vy, vz, roll, pitch, yaw, wx, wy, wz = X.T
-        cos, sin = np.cos, np.sin
-        f_total = U.sum(axis=1)
+        _, _, pz, vx, vy, vz, _, _, _, wx, wy, wz = x.T
+        (cr, cp, cy), (sr, sp, sy) = np.cos(x.T[6:9]), np.sin(x.T[6:9])
         k_ge = _ground_effect(pz, params, z_surface, grad=2 * jac)
         if jac:
             k_ge, dk_dz, d2k_dz2 = k_ge
         t1, t2, t3 = tau.T
-    cr, sr = cos(roll), sin(roll)
-    cp, sp = cos(pitch), sin(pitch)
-    cy, sy = cos(yaw), sin(yaw)
     tp = sp / cp
     m = params.m
     J1, J2, J3 = params.J.tolist()
+    cysp, sysp, srtp, crtp = cy * sp, sy * sp, sr * tp, cr * tp
+    srwy, crwz = sr * wy, cr * wz
 
     # world-frame body-z (thrust) axis for ZYX Euler angles
-    ex = cy * sp * cr + sy * sr
-    ey = sy * sp * cr - cy * sr
+    ex = cysp * cr + sy * sr
+    ey = sysp * cr - cy * sr
     ez = cp * cr
     thrust = f_total * k_ge / m
 
     rows = [vx, vy, vz, thrust * ex, thrust * ey, thrust * ez - params.g,
             # Euler-rate kinematics
             # [1, sr*tp, cr*tp; 0, cr, -sr; 0, sr/cp, cr/cp] @ w
-            wx + sr * tp * wy + cr * tp * wz,
+            wx + srtp * wy + crtp * wz,
             cr * wy - sr * wz,
-            (sr * wy + cr * wz) / cp,
+            (srwy + crwz) / cp,
             (t1 - (J3 - J2) * wy * wz) / J1,
             (t2 - (J1 - J3) * wx * wz) / J2,
             (t3 - (J2 - J1) * wx * wy) / J3]
     if one:
-        return np.array(rows)
-    dX = np.empty_like(X)
+        return rows
+    dX = np.empty_like(x)
     dX.T[...] = rows
     if not jac:
         return dX
 
-    n = X.shape[0]
-    sec2 = 1.0 / (cp * cp)
-    A = np.zeros((n, 12, 12))
-    A[:, 0, 3] = A[:, 1, 4] = A[:, 2, 5] = 1.0
-    E = np.stack([ex, ey, ez], axis=1)      # thrust axis, (n, 3)
-    A[:, 3:6, 2] = (f_total * dk_dz / m)[:, None] * E
+    # -(a * b) is (-a) * b to the bit, so shared products are negated whole
+    n = x.shape[0]
+    sec2, q = 1.0 / (cp * cp), srwy + crwz
+    E = np.empty((n, 3))        # thrust axis
+    E.T[...] = ex, ey, ez
     Czz = (f_total * d2k_dz2 / m)[:, None] * E
-    A[:, 3, 6] = thrust * (-cy * sp * sr + sy * cr)
-    A[:, 4, 6] = thrust * (-sy * sp * sr - cy * cr)
-    A[:, 5, 6] = thrust * (-cp * sr)
-    A[:, 3, 7] = thrust * (cy * cp * cr)
-    A[:, 4, 7] = thrust * (sy * cp * cr)
-    A[:, 5, 7] = thrust * (-sp * cr)
-    A[:, 3, 8] = thrust * (-sy * sp * cr + cy * sr)
-    A[:, 4, 8] = thrust * (cy * sp * cr + sy * sr)
-    A[:, 6, 6] = cr * tp * wy - sr * tp * wz
-    A[:, 6, 7] = (sr * wy + cr * wz) * sec2
-    A[:, 6, 9] = 1.0
-    A[:, 6, 10] = sr * tp
-    A[:, 6, 11] = cr * tp
-    A[:, 7, 6] = -sr * wy - cr * wz
-    A[:, 7, 10] = cr
-    A[:, 7, 11] = -sr
-    A[:, 8, 6] = (cr * wy - sr * wz) / cp
-    A[:, 8, 7] = (sr * wy + cr * wz) * sp * sec2
-    A[:, 8, 10] = sr / cp
-    A[:, 8, 11] = cr / cp
-    A[:, 9, 10] = -(J3 - J2) * wz / J1
-    A[:, 9, 11] = -(J3 - J2) * wy / J1
-    A[:, 10, 9] = -(J1 - J3) * wz / J2
-    A[:, 10, 11] = -(J1 - J3) * wx / J2
-    A[:, 11, 9] = -(J2 - J1) * wy / J3
-    A[:, 11, 10] = -(J2 - J1) * wx / J3
-
     B = np.zeros((n, 12, 4))
     B[:, 3:6, :] = ((k_ge / m)[:, None] * E)[:, :, None]
-    B[:, 9:12, :] = (mixm / params.J[:, None])[None, :, :]
-    return dX, A, B, Czz
+    B[:, 9:12, :] = params.mix_matrix() / params.J[:, None]
+    V = np.array([ex, ey, ez,
+                  sy * cr - cysp * sr, -(sysp * sr) - cy * cr, -cp * sr,
+                  cy * cp * cr, sy * cp * cr, -sp * cr, cy * sr - sysp * cr,
+                  rows[3], crtp * wy - srtp * wz, q * sec2, srtp, crtp,
+                  -srwy - crwz, cr, -sr, rows[7] / cp, q * sp * sec2,
+                  sr / cp, cr / cp,
+                  -(J3 - J2) * wz / J1, -(J3 - J2) * wy / J1,
+                  -(J1 - J3) * wz / J2, -(J1 - J3) * wx / J2,
+                  -(J2 - J1) * wy / J3, -(J2 - J1) * wx / J3])
+    V[:3] *= f_total * dk_dz / m     # A[3:6, 2]
+    V[3:10] *= thrust                   # A[3:6, 6:8] and A[3, 8]
+    A = np.empty((n, 144))
+    A[:] = _A0
+    A[:, _A_AT] = V.T
+    return dX, A.reshape(n, 12, 12), B, Czz
 
 
 def euler_step(x: np.ndarray, u: np.ndarray, dt: float, params: QuadrotorParams,
@@ -325,10 +330,20 @@ def euler_step_batch(X: np.ndarray, U: np.ndarray, dt: float,
 
 def rk4_step(x: np.ndarray, u: np.ndarray, dt: float, params: QuadrotorParams,
              z_surface: float = 0.0) -> np.ndarray:
-    """Classical fourth-order step; used for the simulation plant."""
-    x = np.asarray(x, dtype=float)
-    k1 = derivative(x, u, params, z_surface)
-    k2 = derivative(x + 0.5 * dt * k1, u, params, z_surface)
-    k3 = derivative(x + 0.5 * dt * k2, u, params, z_surface)
-    k4 = derivative(x + dt * k3, u, params, z_surface)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """Classical fourth-order step; used for the simulation plant.
+
+    u is constant over the step, so its thrust sum and torques are formed
+    once. The four stages run on Python floats, each stage state checked
+    as derivative() checks it, and give the bits of the array form
+    x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)."""
+    u = np.asarray(u, dtype=float)
+    f_total, tau = sum(u.tolist()), (u @ params.mix_matrix().T).tolist()
+    x = np.asarray(x, dtype=float).tolist()
+    k = []
+    for w in (0.0, 0.5 * dt, 0.5 * dt, dt):    # the stage steps c_i dt
+        s = [a + w * b for a, b in zip(x, k[-1])] if k else x
+        check_state(s)
+        k.append(_model(s, f_total, tau, params, z_surface))
+    c = dt / 6.0
+    return np.array([a + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                     for a, k1, k2, k3, k4 in zip(x, *k)])

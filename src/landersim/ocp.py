@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -100,6 +101,8 @@ _ARMIJO_SIGMA = 1e-4
 _CBF_MARGIN = 0.05
 # largest defect the rollout polish may close
 _POLISH_GATE = 2e-3
+# the components of stage 1 that no control enters in one Euler step
+_KIN = np.array([0, 1, 2, 6, 7, 8])
 # reference and anchor positions are clipped to the cone reachable at this
 # speed from the measured state before transcription. Far-away setpoints
 # otherwise make the penalty subproblems badly conditioned (nodes chase the
@@ -153,6 +156,8 @@ class NmpcConfig:
                 raise ValueError("weights must be nonnegative")
         if self.u_min > self.u_max:
             raise ValueError("bounds must be ordered")
+        if not self.tol_stat > 0:
+            raise ValueError("tol_stat must be positive")
 
 
 @dataclass
@@ -249,17 +254,12 @@ class WarmStart:
 
     def shifted(self) -> "WarmStart":
         """Receding-horizon shift: drop stage 0, duplicate the tail."""
+        def shift(a):
+            return np.concatenate((a[1:], a[-1:]))
         prev = self.decision
-        X = np.roll(prev.states, -1, axis=0)
-        X[-1] = prev.states[-1]
-        U = np.roll(prev.controls, -1, axis=0)
-        U[-1] = prev.controls[-1]
-        lam = np.roll(self.lam_eq, -1, axis=0)
-        lam[-1] = self.lam_eq[-1]
-        mu = np.roll(self.mu_ineq, -1, axis=0)
-        if mu.shape[0]:
-            mu[-1] = self.mu_ineq[-1]
-        return WarmStart(DecisionVector(X, U), lam, mu, self.rho)
+        return WarmStart(DecisionVector(shift(prev.states),
+                                        shift(prev.controls)),
+                         shift(self.lam_eq), shift(self.mu_ineq), self.rho)
 
 
 @dataclass
@@ -295,31 +295,34 @@ class _Transcription(NamedTuple):
     floor: np.ndarray
 
 
-def _cost(X, U, tr, cfg: NmpcConfig, grad=False):
+def _cost(X, U, tr, cfg: NmpcConfig, grad=False, value=True):
     """Tracking cost of states X (N+1, 12) and controls U (N, 4) against
     the references and anchors of tr, a _Transcription or, ungoverned, a
     ReferencePlan: weighted squared stage errors, the platform pull
     lam .* (pos - anchor)^2 where anchors are set, and the terminal error.
-    With grad, returns (cost, gradient over the flat decision vector)."""
+    With grad, returns (cost, gradient over the flat decision vector), the
+    cost None and not computed when value is False."""
     n = U.shape[0]
     err = X[:n] - tr.x_ref[:n]
-    c = np.sum(err * err * cfg.q) + np.sum(U * U * cfg.r)
-    if tr.anchors is not None:
-        dp = X[:n, 0:3] - tr.anchors
-        c += np.sum(dp * dp * cfg.lam)
+    dp = None if tr.anchors is None else X[:n, 0:3] - tr.anchors
     eN = X[n] - tr.x_terminal
-    c += eN @ (cfg.q_terminal * eN)
+    c = None
+    if value:
+        c = (err * err * cfg.q).sum() + (U * U * cfg.r).sum()
+        if dp is not None:
+            c += (dp * dp * cfg.lam).sum()
+        c = float(c + eN @ (cfg.q_terminal * eN))
     if not grad:
-        return float(c)
+        return c
     G = np.zeros(X.size + U.size)
     GX = G[:X.size].reshape(X.shape)
     GU = G[X.size:].reshape(U.shape)
     GX[:n] += 2.0 * cfg.q * err
     GU += 2.0 * cfg.r * U
-    if tr.anchors is not None:
+    if dp is not None:
         GX[:n, 0:3] += 2.0 * cfg.lam * dp
     GX[n] += 2.0 * cfg.q_terminal * eN
-    return float(c), G
+    return c, G
 
 
 def total_cost(decision: DecisionVector, plan: ReferencePlan, cfg: NmpcConfig) -> float:
@@ -410,6 +413,9 @@ class NmpcSolver:
         self._centers = np.array([ob.center for ob in cbf_cfg.obstacles]) \
             if cbf_cfg.obstacles else np.zeros((0, 2))
         self._rsafe2 = np.array([ob.r_safe ** 2 for ob in cbf_cfg.obstacles])
+        # governor reach per stage reference, terminal reference and anchor
+        caps = _REF_GOVERNOR_SPEED * cfg.dt * np.arange(n + 1)
+        self._caps = np.concatenate([caps, caps[n:], caps[:n]])
         # per-control defect curvature (dt^2 column norms of df/du) for the
         # inner-loop metric, evaluated at nominal conditions
         mixJ = params.mix_matrix() / params.J[:, None]
@@ -461,22 +467,21 @@ class NmpcSolver:
         """Problem data for one solve. Reference and anchor positions are
         pulled into the cone reachable at _REF_GOVERNOR_SPEED. floor
         defaults to the static per-stage tightening."""
-        cfg = self.cfg
-        n = cfg.n
+        n = self.cfg.n
         p0 = np.asarray(x_init, dtype=float)[0:3]
-        caps = _REF_GOVERNOR_SPEED * cfg.dt * np.arange(n + 1)
-
-        def pull(points, cap):
-            dp = points - p0
-            dist = np.linalg.norm(dp, axis=-1)
-            scale = np.where(dist > cap, cap / np.maximum(dist, 1e-12), 1.0)
-            return p0 + dp * scale[..., None]
-
+        pts = [plan.x_ref[:, 0:3], plan.x_terminal[None, 0:3]]
+        if plan.anchors is not None:
+            pts.append(plan.anchors)
+        dp = np.concatenate(pts) - p0
+        cap = self._caps[:dp.shape[0]]
+        dist = np.sqrt((dp * dp).sum(-1))
+        scale = np.where(dist > cap, cap / np.maximum(dist, 1e-12), 1.0)
+        pts = p0 + dp * scale[:, None]
         x_ref = plan.x_ref.copy()
-        x_ref[:, 0:3] = pull(x_ref[:, 0:3], caps)
+        x_ref[:, 0:3] = pts[:n + 1]
         x_term = plan.x_terminal.copy()
-        x_term[0:3] = pull(x_term[None, 0:3], caps[n])[0]
-        anchors = None if plan.anchors is None else pull(plan.anchors, caps[:n])
+        x_term[0:3] = pts[n + 1]
+        anchors = None if plan.anchors is None else pts[n + 2:]
         return _Transcription(x_ref, x_term, anchors,
                               self._mrow if floor is None else floor)
 
@@ -485,7 +490,7 @@ class NmpcSolver:
         shape (rows - 1, n_obs), and the node-to-obstacle position
         differences, shape (rows, n_obs, 2); h = |diff|^2 - r_safe^2."""
         diff = X[:, None, 0:2] - self._centers[None, :, :]
-        h = np.sum(diff * diff, axis=2) - self._rsafe2
+        h = (diff * diff).sum(2) - self._rsafe2
         return h[1:] - (1.0 - self.cbf_cfg.gamma) * h[:-1], diff
 
     def _evaluate(self, z, tr, lam_eq, mu, rho, z_surface, grad=False,
@@ -498,7 +503,7 @@ class NmpcSolver:
         n = cfg.n
         X, U = self._views(z)
         if grad:
-            cost, G = _cost(X, U, tr, cfg, grad=True)
+            cost, G = _cost(X, U, tr, cfg, grad=True, value=at is None)
             f, Jx, Ju, Czz = derivative_and_jacobians_batch(
                 X[:n], U, self.params, z_surface)
             # the value pass's grouping X[1:] - (X[:n] + dt f) differs from
@@ -511,14 +516,14 @@ class NmpcSolver:
                                          z_surface)
         ev = at
         if ev is None:
-            L = cost + (-np.sum(lam_eq * d) + 0.5 * rho * np.sum(d * d))
+            L = cost + (-(lam_eq * d).sum() + 0.5 * rho * (d * d).sum())
             r = g = np.zeros((n, 0))
             diff = w = None
             if self._centers.shape[0]:
                 r, diff = self._decay(X)
                 g = r - tr.floor
                 w = np.maximum(0.0, mu - rho * g)
-                L += np.sum(w * w - mu * mu) / (2.0 * rho)
+                L += (w * w - mu * mu).sum() / (2.0 * rho)
             ev = _Eval(float(L), cost, d, r, g, diff, w)
         if not grad:
             return ev
@@ -535,10 +540,11 @@ class NmpcSolver:
         GU -= cfg.dt * np.matmul(Ju.transpose(0, 2, 1), vc)[:, :, 0]
         if ev.diff is not None:
             # dg/dX[k+1] = grad h(X[k+1]), dg/dX[k] = -(1-gamma) grad h(X[k])
-            GX[1:, 0:2] -= 2.0 * np.sum(ev.w[:, :, None] * ev.diff[1:], axis=1)
-            GX[:n, 0:2] += 2.0 * (1.0 - self.cbf_cfg.gamma) * np.sum(
-                ev.w[:, :, None] * ev.diff[:n], axis=1)
-        return ev._replace(G=G, Jx=Jx, Ju=Ju, hz=hz)
+            wd = ev.w[:, :, None]
+            GX[1:, 0:2] -= 2.0 * (wd * ev.diff[1:]).sum(1)
+            GX[:n, 0:2] += 2.0 * (1.0 - self.cbf_cfg.gamma) * (
+                wd * ev.diff[:n]).sum(1)
+        return _Eval(*ev[:7], G, Jx, Ju, hz)
 
     # -- inner loop: projected Newton with spectral fallback ---------------
 
@@ -592,7 +598,7 @@ class NmpcSolver:
             # LAPACK's band Cholesky solve, as scipy's solveh_banded calls
             # it, without that wrapper's checks (ab is kept for the next round)
             _, step, info = dpbsv(ab, rhs, lower=1)
-            if info != 0 or not np.all(np.isfinite(step)):
+            if info != 0 or not np.isfinite(step).all():
                 return None
             to = zp + step
             cross = (to > hi) | (to < lo)
@@ -607,9 +613,9 @@ class NmpcSolver:
                                       weights=(H @ pin[self._blk, None]).ravel())
             rhs[cross] = pin[cross]
             # a pinned row and column of the band become the identity's
-            i, d = np.flatnonzero(cross), np.arange(28)[:, None]
-            ok = i >= d
-            ab[np.broadcast_to(d, ok.shape)[ok], (i - d)[ok]] = 0.0
+            i = np.flatnonzero(cross)
+            d, at = np.nonzero(i >= np.arange(28)[:, None])
+            ab[d, i[at] - d] = 0.0
             ab[:, i] = 0.0
             ab[0, i] = 1.0
 
@@ -629,7 +635,7 @@ class NmpcSolver:
         for _ in range(25):
             cand = z + a * step
             c = self._evaluate(cand, tr, lam_eq, mu, rho, z_surface)
-            if np.isfinite(c.L) and c.L <= ev.L + _ARMIJO_SIGMA * a * slope:
+            if math.isfinite(c.L) and c.L <= ev.L + _ARMIJO_SIGMA * a * slope:
                 return cand, c, a
             a *= 0.5
         return None
@@ -649,14 +655,14 @@ class NmpcSolver:
         SX = S[:self._nx].reshape(n + 1, 12)
         SX[:] = sx
         SX[n] = 2.0 * cfg.q_terminal + rho
-        S[self._nx:] = np.tile(2.0 * cfg.r + rho * self._ucol2, n)
+        S[self._nx:].reshape(n, 4)[:] = 2.0 * cfg.r + rho * self._ucol2
         if ev.diff is not None:
             act = (ev.w > 0.0).astype(float)
             diff2 = ev.diff ** 2
             omg2 = (1.0 - self.cbf_cfg.gamma) ** 2
-            SX[1:, 0:2] += 4.0 * rho * np.sum(act[:, :, None] * diff2[1:], axis=1)
-            SX[:n, 0:2] += 4.0 * rho * omg2 * np.sum(
-                act[:, :, None] * diff2[:n], axis=1)
+            SX[1:, 0:2] += 4.0 * rho * (act[:, :, None] * diff2[1:]).sum(1)
+            SX[:n, 0:2] += 4.0 * rho * omg2 * (
+                act[:, :, None] * diff2[:n]).sum(1)
         return S
 
     def _inner(self, z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol, budget):
@@ -665,7 +671,7 @@ class NmpcSolver:
         projected-gradient residual and the iterations used."""
         prob = (tr, lam_eq, mu, rho, z_surface)
         ev = entry = self._evaluate(z, *prob, grad=True)
-        if not np.isfinite(ev.L) or not np.all(np.isfinite(ev.G)):
+        if not math.isfinite(ev.L) or not np.isfinite(ev.G).all():
             raise SolverDiverged("non-finite objective at inner-loop entry")
         S = self._metric(ev, rho, tr)
         D = 1.0 / S
@@ -678,7 +684,8 @@ class NmpcSolver:
         newton = True
         # fixed-point residual of the scaled projected-gradient map: how far
         # a unit step in the metric would move the iterate
-        pg = float(np.abs(np.clip(z - D * ev.G, lb, ub) - z).max())
+        pg = float(np.abs(np.minimum(np.maximum(z - D * ev.G, lb), ub)
+                          - z).max())
         for _ in range(budget):
             if pg <= tol:
                 break
@@ -705,13 +712,13 @@ class NmpcSolver:
                 a = alpha
                 dirn = D * ev.G
                 for _ in range(60):
-                    cand = np.clip(z - a * dirn, lb, ub)
+                    cand = np.minimum(np.maximum(z - a * dirn, lb), ub)
                     dz = cand - z
                     ss = float(dz @ (S * dz))
                     if ss == 0.0:
                         break
                     c = self._evaluate(cand, *prob)
-                    if np.isfinite(c.L) \
+                    if math.isfinite(c.L) \
                             and c.L <= L_ref - (_ARMIJO_SIGMA / a) * ss:
                         z_new, new = cand, c
                         break
@@ -728,7 +735,8 @@ class NmpcSolver:
             hist.append(ev.L)
             if len(hist) > 8:
                 hist.pop(0)
-            pg = float(np.abs(np.clip(z - D * ev.G, lb, ub) - z).max())
+            pg = float(np.abs(np.minimum(np.maximum(z - D * ev.G, lb), ub)
+                              - z).max())
         if ev is entry:
             # no step was taken: the entry pass formed its defects the
             # gradient way, the multiplier update and certificate need the
@@ -752,7 +760,7 @@ class NmpcSolver:
         for k in range(n):
             Xp[k + 1] = euler_step_batch(Xp[k], U[k], cfg.dt, self.params,
                                          z_surface)
-        if not np.all(np.isfinite(zp)) or np.any(zp < lb) or np.any(zp > ub):
+        if not np.isfinite(zp).all() or (zp < lb).any() or (zp > ub).any():
             return z, ev
         evp = self._evaluate(zp, tr, lam_eq, mu, rho, z_surface)
         if evp.g.size and float(evp.g.min()) < -_TOL_INEQ - 0.5 * _CBF_MARGIN:
@@ -804,7 +812,7 @@ class NmpcSolver:
         cfg = self.cfg
         n = cfg.n
         x_init = np.asarray(x_init, dtype=float)
-        if not np.all(np.isfinite(x_init)):
+        if not np.isfinite(x_init).all():
             raise SolverDiverged("measured state is non-finite")
         if plan.n != n:
             raise ValueError("plan horizon does not match configuration")
@@ -843,11 +851,10 @@ class NmpcSolver:
         # of leaving the stage infeasible -- the plant can overshoot the
         # planning envelope and the solver must still steer back from there
         dx0 = derivative_batch(x_init, np.zeros(4), self.params, z_surface)
-        kin = np.array([0, 1, 2, 6, 7, 8])
-        forced = x_init[kin] + cfg.dt * dx0[kin]
-        lb[12 + kin] = np.minimum(lb[12 + kin], forced)
-        ub[12 + kin] = np.maximum(ub[12 + kin], forced)
-        z = np.clip(dec.flatten(), lb, ub)
+        forced = x_init[_KIN] + cfg.dt * dx0[_KIN]
+        lb[12 + _KIN] = np.minimum(lb[12 + _KIN], forced)
+        ub[12 + _KIN] = np.maximum(ub[12 + _KIN], forced)
+        z = np.minimum(np.maximum(dec.flatten(), lb), ub)
         tr = self._transcribe(x_init, plan, floor)
 
         # with carried multipliers the iterate is already near-optimal, so
@@ -928,7 +935,8 @@ class NmpcSolver:
         # the certificate comes from the evaluation of the returned iterate
         # (the budget checks in NmpcConfig guarantee one outer iteration)
         decision = DecisionVector.from_flat(z, n)
-        u_apply = np.clip(decision.controls[0].copy(), cfg.u_min, cfg.u_max)
+        u_apply = np.minimum(np.maximum(decision.controls[0], cfg.u_min),
+                             cfg.u_max)
         return OcpSolution(
             decision=decision,
             u_apply=u_apply,

@@ -71,7 +71,8 @@ def add_state_noise(state, sigmas: NoiseSigmas, rng) -> np.ndarray:
     x = np.asarray(state, dtype=float).copy()
     if sigmas.is_zero:
         return x
-    scale = np.repeat([sigmas.pos, sigmas.vel, sigmas.att, sigmas.rate], 3)
+    scale = np.array([sigmas.pos, sigmas.vel, sigmas.att, sigmas.rate]) \
+        .repeat(3)
     return x + rng.normal(0.0, 1.0, 12) * scale
 
 

@@ -147,6 +147,14 @@ def test_zero_iteration_budget_exits_two(tmp_path, capsys, budget):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("tol", [0, -1])
+def test_nonpositive_tol_stat_exits_two(tmp_path, capsys, tol):
+    sc = tmp_path / "no_tolerance.json"
+    sc.write_text(json.dumps({"nmpc": {"tol_stat": tol}}))
+    assert main(["validate", "--scenario", str(sc)]) == 2
+    assert "nmpc: tol_stat must be positive" in capsys.readouterr().err
+
+
 def test_misshapen_field_exits_two_before_running(tmp_path, capsys):
     # a q of the wrong length would fail to broadcast inside the solver
     sc = tmp_path / "short_q.json"

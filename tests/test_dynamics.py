@@ -425,6 +425,26 @@ class TestIntegrators:
         assert x[2] == pytest.approx(10.0 - 0.5 * p.g, abs=1e-12)
         assert x[5] == pytest.approx(-p.g, abs=1e-12)
 
+    def test_rk4_checks_every_stage_state(self):
+        # the start sits one ulp inside the pitch limit and passes the
+        # check; its pitch rate carries only the k2 stage state past it
+        p = QuadrotorParams()
+        lim = np.pi / 2 - EULER_SINGULARITY_TOL
+        x = make_state(pos=(0, 0, 1), att=(0.0, np.nextafter(lim, 0.0), 0.0),
+                       rate=(0.0, 1.0, 0.0))
+        check_state(x)
+        with pytest.raises(SimulationFault, match="nonsingular range"):
+            rk4_step(x, hover_control(p), 0.01, p)
+
+    def test_rk4_faults_on_a_non_finite_stage_state(self):
+        # a finite start whose gyroscopic term overflows, so the k2 stage
+        # state carries an infinite body rate wy
+        p = QuadrotorParams()
+        x = make_state(pos=(0, 0, 1), rate=(1e200, 0.0, 1e200))
+        check_state(x)
+        with pytest.raises(SimulationFault, match="non-finite"):
+            rk4_step(x, hover_control(p), 0.01, p)
+
     def test_euler_local_error_second_order(self):
         p = QuadrotorParams()
         rng = np.random.default_rng(11)

@@ -287,6 +287,22 @@ def test_double_shift_of_ramp_is_shift_by_two():
 # -- gradients ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("track_active", [False, True])
+def test_cost_gradient_alone_is_the_same_bytes(cfg, track_active):
+    # a gradient pass handed its value pass computes only the gradient
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        plan = ReferencePlan(
+            x_ref=rng.normal(size=(cfg.n + 1, 12)),
+            x_terminal=rng.normal(size=12),
+            anchors=rng.normal(size=(cfg.n, 3)) if track_active else None)
+        X = rng.normal(size=(cfg.n + 1, 12))
+        U = rng.uniform(cfg.u_min, cfg.u_max, (cfg.n, 4))
+        c, g = _cost(X, U, plan, cfg, grad=True, value=False)
+        assert c is None
+        assert g.tobytes() == _cost(X, U, plan, cfg, grad=True)[1].tobytes()
+
+
 def test_cost_gradient_matches_central_differences(cfg):
     rng = np.random.default_rng(5)
     dec = DecisionVector(rng.normal(size=(cfg.n + 1, 12)),
@@ -788,6 +804,13 @@ def test_config_rejects_negative_weights():
 def test_config_rejects_unordered_bounds():
     with pytest.raises(ValueError):
         NmpcConfig(u_min=5.0, u_max=1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_config_rejects_nonpositive_tol_stat(tol):
+    # a solve could never certify stationarity at such a tolerance
+    with pytest.raises(ValueError, match="tol_stat must be positive"):
+        NmpcConfig(tol_stat=tol)
 
 
 def test_plan_rejects_bad_reference_shape():
