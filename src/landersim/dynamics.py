@@ -76,9 +76,6 @@ class QuadrotorParams:
 
     def __post_init__(self):
         self.J = np.asarray(self.J, dtype=float)
-        self.validate()
-
-    def validate(self):
         if not (self.m > 0):
             raise ValueError("mass must be positive")
         if self.J.shape != (3,) or not np.all(self.J > 0):

@@ -93,6 +93,14 @@ _PENALTY_MAX = 1e6
 # a tightened decay residual may sit below zero
 _TOL_FEAS = 5e-5
 _TOL_INEQ = 1e-6
+# stationarity (projected-gradient norm) a converged solve certifies
+_TOL_STAT = 5e-4
+# outer (multiplier) iterations and inner iterations per subproblem. Both
+# guard callers with a large max_inner_total only: no reference solve takes
+# more than 11 outer iterations, and a subproblem there gets at most the
+# 60-70 iterations left in its cycle's budget
+_MAX_OUTER = 20
+_MAX_INNER = 100
 # sufficient-decrease factor of both line searches
 _ARMIJO_SIGMA = 1e-4
 # tightening of the barrier-decay constraint inside the solver, so the
@@ -113,12 +121,11 @@ _REF_GOVERNOR_SPEED = 2.0
 
 @dataclass
 class NmpcConfig:
-    """Horizon, weights, control bounds, and solver budgets.
+    """Horizon, weights, control bounds, and the real-time budget.
 
     The diagonal weight vectors q, r, q_terminal multiply squared errors
     elementwise. lam weighs the squared distance of predicted position to
-    the platform anchors of a plan that carries them. tol_stat is the
-    stationarity tolerance a converged solve certifies.
+    the platform anchors of a plan that carries them.
 
     max_inner_total bounds the summed inner iterations of one solve call.
     It is the real-time budget: deployments that must meet a cycle
@@ -135,10 +142,7 @@ class NmpcConfig:
     lam: np.ndarray = field(default_factory=lambda: np.array([20.0, 20.0, 20.0]))
     u_min: float = 0.0
     u_max: float = 7.5
-    max_outer: int = 20
-    max_inner: int = 100
     max_inner_total: int = 400
-    tol_stat: float = 5e-4
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -149,15 +153,13 @@ class NmpcConfig:
             raise ValueError("horizon must be at least 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if min(self.max_outer, self.max_inner, self.max_inner_total) < 1:
+        if self.max_inner_total < 1:
             raise ValueError("iteration budgets must be at least 1")
         for w in (self.q, self.r, self.q_terminal, self.lam):
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
         if self.u_min > self.u_max:
             raise ValueError("bounds must be ordered")
-        if not self.tol_stat > 0:
-            raise ValueError("tol_stat must be positive")
 
 
 @dataclass
@@ -860,21 +862,21 @@ class NmpcSolver:
         # with carried multipliers the iterate is already near-optimal, so
         # open at the certifying tolerance instead of the crude cold schedule
         if warm is not None:
-            tol_inner = cfg.tol_stat
+            tol_inner = _TOL_STAT
         else:
-            tol_inner = max(cfg.tol_stat, 1e-2)
+            tol_inner = max(_TOL_STAT, 1e-2)
         viol_last = np.inf
         total_inner = 0
         stop = "outer_limit"
         stall = 0
-        for outer in range(1, cfg.max_outer + 1):
+        for outer in range(1, _MAX_OUTER + 1):
             room = cfg.max_inner_total - total_inner
             if room <= 0:
                 stop = "budget"     # real-time budget spent; fly the best iterate
                 break
             z, ev, pg, used = self._inner(
                 z, lb, ub, tr, lam_eq, mu, rho, z_surface, tol_inner,
-                min(cfg.max_inner, room))
+                min(_MAX_INNER, room))
             total_inner += used
             # multipliers update at the subproblem solution, where the
             # first-order theory places them; the polish below only swaps
@@ -883,13 +885,13 @@ class NmpcSolver:
             # subproblem (budget ran out far from stationarity) gets no
             # update: rho times the residuals of a garbage iterate would
             # poison the multipliers for every later outer
-            if pg <= max(10.0 * tol_inner, cfg.tol_stat):
+            if pg <= max(10.0 * tol_inner, _TOL_STAT):
                 lam_eq = lam_eq - rho * ev.d
                 if ev.w is not None:
                     mu = ev.w       # max(0, mu - rho g), the penalty weight
             dmax = float(np.abs(ev.d).max())
             if dmax > _TOL_FEAS and dmax <= _POLISH_GATE \
-                    and pg <= cfg.tol_stat:
+                    and pg <= _TOL_STAT:
                 # the controls are settled; close the remaining dynamics gap
                 # exactly by re-rolling the states, if that stays feasible
                 z, ev = self._try_polish(z, ev, lb, ub, tr, lam_eq, mu, rho,
@@ -904,7 +906,7 @@ class NmpcSolver:
             # margin; the raw decay residual stays strictly positive
             gtol = _TOL_INEQ + 0.5 * _CBF_MARGIN
             ineq_ok = (float(g.min()) >= -gtol) if g.size else True
-            if feas_ok and ineq_ok and pg <= cfg.tol_stat:
+            if feas_ok and ineq_ok and pg <= _TOL_STAT:
                 stop = "converged"
                 break
             # a solved subproblem that leaves the violation untouched for
@@ -913,7 +915,7 @@ class NmpcSolver:
             # Once the penalty sits at its cap the same logic applies even
             # without an inner certificate: growth can no longer react, so
             # a violation that repeats across outers is not going to move
-            if (pg <= cfg.tol_stat or rho >= _PENALTY_MAX) \
+            if (pg <= _TOL_STAT or rho >= _PENALTY_MAX) \
                     and viol > 0.9 * viol_last \
                     and viol > 20.0 * _TOL_FEAS:
                 stall += 1
@@ -929,8 +931,8 @@ class NmpcSolver:
             viol_last = viol
             # tighten the subproblem tolerance geometrically, and faster if
             # the constraint violation is already smaller than the schedule
-            tol_inner = min(max(cfg.tol_stat * 0.5, 0.25 * viol),
-                            max(cfg.tol_stat * 0.5, tol_inner * 0.5))
+            tol_inner = min(max(_TOL_STAT * 0.5, 0.25 * viol),
+                            max(_TOL_STAT * 0.5, tol_inner * 0.5))
 
         # the certificate comes from the evaluation of the returned iterate
         # (the budget checks in NmpcConfig guarantee one outer iteration)
@@ -963,8 +965,6 @@ class GradientCheckReport:
     gradients of the augmented objective over sampled points."""
 
     max_rel_err: float
-    worst_point: int
-    worst_index: int
     n_points: int
     tol: float
 
@@ -1002,9 +1002,7 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
     tr = _Transcription(plan.x_ref, plan.x_terminal, plan.anchors,
                         solver._mrow)
     worst = 0.0
-    worst_point = -1
-    worst_index = -1
-    for p in range(n_points):
+    for _ in range(n_points):
         z = _random_decision(solver, rng)
         lam_eq = rng.normal(0.0, 1.0, (n, 12))
         mu = np.abs(rng.normal(0.0, 1.0, (n, n_obs)))
@@ -1020,13 +1018,6 @@ def gradient_check(solver: NmpcSolver, plan: ReferencePlan, n_points: int = 20,
             G_fd[j] = (solver._evaluate(zp, *args).L
                        - solver._evaluate(zm, *args).L) / (2.0 * _FD_STEP)
         denom = max(1.0, float(np.abs(G_fd).max()))
-        err = np.abs(G - G_fd) / denom
-        j = int(err.argmax())
-        if err[j] > worst:
-            worst = float(err[j])
-            worst_point = p
-            worst_index = j
-    return GradientCheckReport(max_rel_err=worst, worst_point=worst_point,
-                               worst_index=worst_index, n_points=n_points,
-                               tol=tol)
+        worst = max(worst, float((np.abs(G - G_fd) / denom).max()))
+    return GradientCheckReport(max_rel_err=worst, n_points=n_points, tol=tol)
 

@@ -146,8 +146,7 @@ def update_phase(phase: LandingPhase, drone, platform_pos, platform_vel,
                 and thr.vz_rel_min <= vz_rel <= thr.vz_rel_max):
             return LandingPhase.TOUCHDOWN
         return phase
-    if phase is LandingPhase.TOUCHDOWN:
-        return LandingPhase.LANDED
+    # TOUCHDOWN and LANDED itself
     return LandingPhase.LANDED
 
 

@@ -243,11 +243,8 @@ def _surface_under(x, p_plat, model) -> float:
     return 0.0
 
 
-def _plant_step(x, u, dt, params, z_surface, plant) -> np.ndarray:
-    """The plant over one control period: RK4 substeps, or with plant
-    "euler" one step of the prediction model."""
-    if plant == "euler":
-        return euler_step(x, u, dt, params, z_surface)
+def _plant_step(x, u, dt, params, z_surface) -> np.ndarray:
+    """The plant over one control period: _PLANT_SUBSTEPS RK4 steps."""
     for _ in range(_PLANT_SUBSTEPS):
         x = rk4_step(x, u, dt / _PLANT_SUBSTEPS, params, z_surface)
     return x
@@ -262,18 +259,14 @@ def perturb_initial_state(x0, rng) -> np.ndarray:
     return x
 
 
-def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
-    """Run one seeded landing trial and return its full log.
+def run_closed_loop(scenario, seed: int) -> TrialLog:
+    """Run one seeded landing trial against the RK4 plant and return its
+    full log.
 
     scenario carries params, nmpc/cbf configs, the platform model, phase
     thresholds, nominal initial state, noise sigmas, and timeout (see the
-    harness module). plant selects the plant integrator: "rk4" (default,
-    deliberate model mismatch) or "euler" at the control period, which
-    makes the plant coincide with the prediction model for consistency
-    oracles.
+    harness module).
     """
-    if plant not in ("rk4", "euler"):
-        raise ValueError("plant must be 'rk4' or 'euler'")
     params, cfg, cbf = scenario.params, scenario.nmpc, scenario.cbf
     model, thr = scenario.platform, scenario.thresholds
     noise = scenario.noise
@@ -332,8 +325,7 @@ def run_closed_loop(scenario, seed: int, plant: str = "rk4") -> TrialLog:
                 # the prediction checks the measured state, the plant the truth
                 pred = euler_step(x_meas, u, cfg.dt, params, z_surface)
                 if not failed:
-                    x_next = _plant_step(x, u, cfg.dt, params, z_surface,
-                                         plant)
+                    x_next = _plant_step(x, u, cfg.dt, params, z_surface)
             except SimulationFault as exc:
                 failed = True
                 reason = f"plant fault: {exc}"

@@ -136,23 +136,33 @@ def test_invalid_scenario_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "o2")]) == 2
 
 
+def _exits_two_naming(tmp_path, capsys, scenario, message):
+    """Both validate and run reject the scenario with message, and run
+    writes nothing."""
+    sc = tmp_path / "bad.json"
+    sc.write_text(json.dumps(scenario))
+    for cmd in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+        assert main([*cmd, "--scenario", str(sc)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("budget", ["max_outer", "max_inner",
                                     "max_inner_total"])
 def test_zero_iteration_budget_exits_two(tmp_path, capsys, budget):
-    sc = tmp_path / "no_budget.json"
-    sc.write_text(json.dumps({"name": "no_budget", "nmpc": {budget: 0}}))
-    rc = main(["run", "--scenario", str(sc), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "iteration budgets" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # max_inner_total is the one budget a scenario sets; the outer and
+    # per-subproblem caps are solver constants
+    message = ("iteration budgets" if budget == "max_inner_total"
+               else f"unknown nmpc keys: ['{budget}']")
+    _exits_two_naming(tmp_path, capsys,
+                      {"name": "no_budget", "nmpc": {budget: 0}}, message)
 
 
 @pytest.mark.parametrize("tol", [0, -1])
 def test_nonpositive_tol_stat_exits_two(tmp_path, capsys, tol):
-    sc = tmp_path / "no_tolerance.json"
-    sc.write_text(json.dumps({"nmpc": {"tol_stat": tol}}))
-    assert main(["validate", "--scenario", str(sc)]) == 2
-    assert "nmpc: tol_stat must be positive" in capsys.readouterr().err
+    # the stationarity tolerance is a solver constant
+    _exits_two_naming(tmp_path, capsys, {"nmpc": {"tol_stat": tol}},
+                      "unknown nmpc keys: ['tol_stat']")
 
 
 def test_misshapen_field_exits_two_before_running(tmp_path, capsys):

@@ -83,8 +83,10 @@ def test_unknown_top_level_key():
 
 
 def test_unknown_nested_key():
-    # cbf_margin is a solver constant, not a setting
-    for key in ("horizon", "cbf_margin"):
+    # cbf_margin, the outer and inner iteration caps and the stationarity
+    # tolerance are solver constants, not settings
+    for key in ("horizon", "cbf_margin", "max_outer", "max_inner",
+                "tol_stat"):
         with pytest.raises(ScenarioError, match="unknown nmpc keys"):
             ScenarioConfig.from_dict({"nmpc": {key: 0.1}})
 

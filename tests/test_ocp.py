@@ -6,6 +6,7 @@ landing problems (hover equilibrium, obstacle avoidance, warm starting)."""
 import numpy as np
 import pytest
 
+from landersim import ocp
 from landersim.cbf import CbfConfig, ObstacleSpec, barrier_value
 from landersim.dynamics import (QuadrotorParams,
                                 derivative_and_jacobians_batch, euler_step,
@@ -549,6 +550,20 @@ def test_solve_reports_budget_stop(params):
     assert sol.inner_iterations == 1
 
 
+def test_solve_reports_outer_limit_stop(params, monkeypatch):
+    # one outer iteration of at most two inner ones: the caps, not the
+    # real-time budget, end the solve
+    monkeypatch.setattr(ocp, "_MAX_OUTER", 1)
+    monkeypatch.setattr(ocp, "_MAX_INNER", 2)
+    cfg = NmpcConfig()
+    ob = ObstacleSpec(center=(1.0, 0.0), radius=0.2)
+    solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
+    sol = solver.solve(make_state(pos=(0.0, 0.01, 2.0)),
+                       _constant_plan(cfg, (2.0, 0.0, 1.3)))
+    assert sol.stop == "outer_limit"
+    assert (sol.iterations, sol.inner_iterations) == (1, 2)
+
+
 def test_touchdown_solve_converges_in_ground_effect_band():
     # a cold DESCEND solve whose last nodes sit in the ground-effect blend
     # band over a 0.3 m surface. Without the band's curvature in the
@@ -683,7 +698,7 @@ def test_solve_rejects_mismatched_plan(cfg, params):
 
 def test_solve_returns_best_iterate_when_not_converged(cfg, params):
     # starve the budget so the flag must come back false, iterate intact
-    tiny = NmpcConfig(max_outer=1, max_inner=2)
+    tiny = NmpcConfig(max_inner_total=2)
     solver = NmpcSolver(tiny, CbfConfig(), params)
     x0 = make_state(pos=(0.0, 0.0, 2.0))
     plan = _constant_plan(tiny, (1.5, 1.5, 1.0))
@@ -699,9 +714,12 @@ def _certificate_case(case, params, monkeypatch):
     returns the solver, measured state and solution."""
     ob = ObstacleSpec(center=(1.0, 0.0), radius=0.2)
     cfg = {"converged": NmpcConfig(), "polished": NmpcConfig(),
-           "budget": NmpcConfig(max_outer=1, max_inner=2),
-           # the subproblem is already solved at entry, so no step is taken
-           "no_step": NmpcConfig(tol_stat=1e3, max_outer=1)}[case]
+           "budget": NmpcConfig(max_inner_total=2),
+           "no_step": NmpcConfig()}[case]
+    if case == "no_step":
+        # the subproblem is already solved at entry, so no step is taken
+        monkeypatch.setattr(ocp, "_TOL_STAT", 1e3)
+        monkeypatch.setattr(ocp, "_MAX_OUTER", 1)
     solver = NmpcSolver(cfg, CbfConfig(obstacles=[ob]), params)
     x0 = make_state(pos=(0.0, 0.01, 2.0))
     plan = _constant_plan(cfg, (2.0, 0.0, 1.3))
@@ -723,8 +741,8 @@ def _certificate_case(case, params, monkeypatch):
         assert polished[-1] is not None
         assert sol.decision.flatten().tobytes() == polished[-1].tobytes()
     if case == "budget":
-        assert not sol.converged
-        assert sol.inner_iterations == cfg.max_inner
+        assert sol.stop == "budget"
+        assert sol.inner_iterations == 2
     if case == "no_step":
         assert sol.inner_iterations == 0
     return solver, x0, sol
@@ -777,8 +795,7 @@ def test_polish_rollout_matches_one_row_batch_steps(cfg, params, z_surface):
 # -- config validation ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("budget", ["max_outer", "max_inner",
-                                    "max_inner_total"])
+@pytest.mark.parametrize("budget", ["max_inner_total"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_iteration_budget_below_one(budget, value):
     with pytest.raises(ValueError, match="iteration budgets"):
@@ -804,13 +821,6 @@ def test_config_rejects_negative_weights():
 def test_config_rejects_unordered_bounds():
     with pytest.raises(ValueError):
         NmpcConfig(u_min=5.0, u_max=1.0)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0])
-def test_config_rejects_nonpositive_tol_stat(tol):
-    # a solve could never certify stationarity at such a tolerance
-    with pytest.raises(ValueError, match="tol_stat must be positive"):
-        NmpcConfig(tol_stat=tol)
 
 
 def test_plan_rejects_bad_reference_shape():

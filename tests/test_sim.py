@@ -37,8 +37,10 @@ def obstacle_log():
 
 @pytest.fixture(scope="module")
 def euler_log():
-    return run_closed_loop(load_scenario("static_clear"), seed=0,
-                           plant="euler")
+    # the plant replaced by one step of the prediction model per period
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_plant_step", sim.euler_step)
+        return run_closed_loop(load_scenario("static_clear"), seed=0)
 
 
 # -- noise model -------------------------------------------------------------
@@ -341,12 +343,6 @@ def test_surface_under_platform_disc():
     p = np.array([1.0, 0.0, 0.3])
     assert _surface_under(over, p, model) == 0.3
     assert _surface_under(away, p, model) == 0.0
-
-
-def test_bad_plant_name_rejected():
-    with pytest.raises(ValueError, match="plant"):
-        run_closed_loop(load_scenario("static_clear"), seed=0,
-                        plant="verlet")
 
 
 def test_three_holds_fail_the_trial(monkeypatch):

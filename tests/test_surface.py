@@ -1,13 +1,15 @@
 """Guards on the package surface: the public names, the fields of the
-solver's configuration and reference plan, and the attributes the
-benchmark's tracer (perfbench/tracing.py) patches in place, so a cleanup
-that deletes one of them fails here and not only in the benchmark, and a
-setting added later shows up as a change to this file. Also guards what
+solver's configuration and reference plan, the parameters of a
+closed-loop trial, and the attributes the benchmark's tracer
+(perfbench/tracing.py) patches in place, so a cleanup that deletes one of
+them fails here and not only in the benchmark, and a setting added later
+shows up as a change to this file. Also guards what
 importing the package loads: the solver's LAPACK routine without the
 scipy.linalg package."""
 
 import dataclasses
 import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
@@ -16,6 +18,7 @@ import sys
 import landersim
 import landersim.ocp
 from landersim.ocp import NmpcConfig, ReferencePlan
+from landersim.sim import run_closed_loop
 
 TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
@@ -39,9 +42,12 @@ def test_public_names_resolve_sorted_and_unique():
 def test_solver_config_and_plan_fields():
     assert [f.name for f in dataclasses.fields(NmpcConfig)] == [
         "n", "dt", "q", "r", "q_terminal", "lam", "u_min", "u_max",
-        "max_outer", "max_inner", "max_inner_total", "tol_stat"]
+        "max_inner_total"]
     assert [f.name for f in dataclasses.fields(ReferencePlan)] == [
         "x_ref", "x_terminal", "anchors"]
+    # a trial flies the scenario's RK4 plant; nothing else selects it
+    assert list(inspect.signature(run_closed_loop).parameters) == [
+        "scenario", "seed"]
 
 
 def test_traced_boundaries_exist_and_are_restored():
