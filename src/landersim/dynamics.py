@@ -9,9 +9,9 @@ angles (rad), angular rates are body-frame (rad/s). Controls are the four
 per-motor thrusts [u1, u2, u3, u4] in newtons.
 
 Vertical thrust is scaled by a ground-effect multiplier: the
-Cheeseman-Bennett factor, capped at k_ge_max, with a smoothstep blend
-between the cap and the raw factor so the model is continuously
-differentiable in height (see _ground_effect).
+Cheeseman-Bennett factor, capped at k_ge_max, with a smootherstep blend
+one rotor radius wide between the cap and the raw factor, so the model is
+twice continuously differentiable in height (see _ground_effect).
 
 All functions here are pure. The model is written once: the batched
 variants evaluate it on stacked rows (the optimizer's horizon), and on one
@@ -35,10 +35,6 @@ RATE = slice(9, 12)
 
 # margin kept from the pitch/roll singularity of the Euler-rate map
 EULER_SINGULARITY_TOL = 1e-9
-
-# height band (m) above the ground-effect saturation height z* over which
-# the multiplier blends from k_ge_max into the raw Cheeseman-Bennett factor
-GE_BLEND_WIDTH = 0.02
 
 
 class SimulationFault(RuntimeError):
@@ -131,23 +127,29 @@ def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
 
     The raw Cheeseman-Bennett factor 1 / (1 - (r / (4 (zr + eps)))^2),
     with zr = max(z - z_surface, 0), reaches k_ge_max at z* and diverges
-    below it. Below z* the multiplier is k_ge_max; above z* +
-    GE_BLEND_WIDTH it is the raw factor; in between a smoothstep blends
-    the two, so k is monotone and continuously differentiable in z. dk is
-    zero at and below z* and below the surface.
+    below it. Below z* the multiplier is k_ge_max; above z* + r it is the
+    raw factor; over the band [z*, z* + r], one rotor radius wide, the
+    smootherstep sigma(t) = t^3 (t (6t - 15) + 10), t = (zr - z*) / r,
+    blends the two: k = k_max + (k_raw - k_max) sigma(t). sigma has zero
+    slope and curvature at both ends, so k is monotone and twice
+    continuously differentiable in z. dk and d2k are zero at and below
+    z* and below the surface.
 
     The raw factor is written as zp^2 / (zp^2 - (r/4)^2) with zp the
     height over the surface plus eps, clamped to at least z* + eps, where
     the factor is finite and at most k_max, so the pole is never
-    evaluated. The blend only runs when some height lies below
-    z* + GE_BLEND_WIDTH; above that band it is the identity.
+    evaluated. The blend only runs when some height lies below z* + r.
+    It is evaluated as k_raw + (k_max - k_raw) sigma(s) with s = 1 - t,
+    the same function since sigma(t) + sigma(1 - t) = 1: s is exactly 0
+    at and above the band's top, so there the blend is the identity, and
+    exactly 1 at and below z*, where it gives k_max, both bit for bit.
 
     A Python float height runs the same expressions on floats, the bits of
     the numpy path without its per-call overhead; max and min keep a NaN
     height NaN as np.maximum and np.minimum do, since it comes first.
     """
-    k_max, w, eps = params.k_ge_max, GE_BLEND_WIDTH, params.eps_ge
-    c2 = (0.25 * params.r_rotor) ** 2
+    k_max, w, eps = params.k_ge_max, params.r_rotor, params.eps_ge
+    c2 = (0.25 * w) ** 2
     zs = math.sqrt(c2 * k_max / (k_max - 1.0))      # z* + eps
     one = isinstance(z, float)
     maximum, minimum = (max, min) if one else (np.maximum, np.minimum)
@@ -161,20 +163,20 @@ def _ground_effect(z, params: QuadrotorParams, z_surface: float = 0.0,
     if grad > 1:
         d2k = (2.0 * c2) * (3.0 * zp2 + c2) / (den2 * den)
     if (zp if one else zp.min()) < zs + w:
-        # t is exactly 0 at and below z* and exactly 1 above the band, so
-        # the blend reproduces k_max and the raw factor bit for bit there
+        # the cap's weight c = sigma(s) and its height derivatives
+        # c' = -30 s^2 t^2 / w and c'' = 60 s t (t - s) / w^2, all of
+        # which vanish where s is 0 or 1
         t = minimum((zp - zs) * (1.0 / w), 1.0)
-        sig = t * t * (3.0 - 2.0 * t)
-        gap = k - k_max
-        k = k_max + gap * sig
+        s = 1.0 - t
+        c = s * s * s * (s * (6.0 * s - 15.0) + 10.0)
+        st = s * t
+        gap = k_max - k
+        k = k + gap * c
         if grad > 1:
-            # sig' = 6 tt / w; sig'' = 6 (1 - 2t) / w^2 only inside the
-            # band, where tt > 0: outside it t is clamped and sig is flat
-            tt = t * (1.0 - t)
-            d2k = (6.0 / (w * w)) * gap * (1.0 - 2.0 * t) * (tt > 0.0) \
-                + (12.0 / w) * dk * tt + d2k * sig
+            d2k = d2k * (1.0 - c) + (60.0 / w) * st * st * dk \
+                + (60.0 / (w * w)) * gap * st * (t - s)
         if grad:
-            dk = (6.0 / w) * gap * t * (1.0 - t) + dk * sig
+            dk = dk * (1.0 - c) - (30.0 / w) * gap * st * st
             if zs < eps:
                 # the band reaches below the surface, where k is flat in z
                 dk = dk * (z >= z_surface)
@@ -213,8 +215,8 @@ def derivative_and_jacobians_batch(X: np.ndarray, U: np.ndarray,
     A[:, 3:6, 2] carries the ground-effect slope: zero at and below the
     saturation height z*, continuous through the blend band. Czz is that
     column's own height derivative, from d2k/dz2: zero where k is
-    clamped, large inside the band. The solver's Newton matrix keeps
-    its positive part."""
+    clamped, and continuous through the band too. The solver's Newton
+    matrix keeps its positive part."""
     return _derivative_batch(X, U, params, z_surface, True)
 
 

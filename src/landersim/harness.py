@@ -201,9 +201,11 @@ def final_point_error(log: TrialLog) -> float:
 
 @dataclass
 class TrialResult:
-    """One row of a batch report. Wall-clock solve times are excluded from
-    equality and from report.json (they vary run to run); they still show
-    up in the text report and the per-trial sidecars."""
+    """One row of a batch report. inner_iterations maps each phase that
+    calls the solver to its inner iterations summed over the trial.
+    Wall-clock solve times are excluded from equality and from report.json
+    (they vary run to run); they still show up in the text report and the
+    per-trial sidecars."""
 
     seed: int
     failed: bool
@@ -211,13 +213,15 @@ class TrialResult:
     touchdown_time: float = None
     min_h: float = None
     failure_reason: str = ""
+    inner_iterations: dict = None
     solve_ms_mean: float = field(default=None, compare=False)
     solve_ms_max: float = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "failed": self.failed,
                 "fpe_cm": self.fpe_cm, "touchdown_time": self.touchdown_time,
-                "min_h": self.min_h, "failure_reason": self.failure_reason}
+                "min_h": self.min_h, "failure_reason": self.failure_reason,
+                "inner_iterations": self.inner_iterations}
 
 
 def trial_result(log: TrialLog) -> TrialResult:
@@ -230,6 +234,7 @@ def trial_result(log: TrialLog) -> TrialResult:
                         if log.landed else None),
         min_h=log.min_h() if log.h.size else None,
         failure_reason=log.failure_reason,
+        inner_iterations=log.inner_iterations_by_phase(),
         solve_ms_mean=ms_mean,
         solve_ms_max=ms_max,
     )

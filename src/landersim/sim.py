@@ -152,6 +152,13 @@ class TrialLog:
             return None, None
         return float(ms.mean()), float(ms.max())
 
+    def inner_iterations_by_phase(self) -> dict:
+        """Inner iterations summed over the rows of each phase that calls
+        the solver: APPROACH, TRACK and DESCEND."""
+        phases = np.asarray(self.phases)
+        return {p.value: int(self.inner_iterations[phases == p.value].sum())
+                for p in LandingPhase if p.value not in _NO_SOLVE}
+
     def header(self) -> list:
         return [c for f in _PER_CYCLE
                 for c in _layout(f, self.h.shape[1])[0]]

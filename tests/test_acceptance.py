@@ -99,13 +99,24 @@ def test_tracking_cycles_rarely_exhaust_the_budget(batches):
 def test_touchdown_solves_rarely_run_long(batches):
     # regression guard for the ground-effect curvature in the Newton
     # matrix: without it, 86 TRACK/DESCEND solves over these batches took
-    # 20 or more inner iterations (42 with it)
+    # 20 or more inner iterations (42 with it, 0 with the C2 blend)
     long = {}
     for name, (logs, _, _) in batches.items():
         long[name] = sum(
             int(np.sum((lg.inner_iterations >= 20) & np.isin(
                 lg.phases, ("TRACK", "DESCEND")))) for lg in logs)
     assert sum(long.values()) <= 60, long
+
+
+@pytest.mark.parametrize("name", ["static_clear", "dynamic_clear"])
+def test_touchdown_solves_stay_short(batches, name):
+    # regression guard for the C2 ground-effect blend: with the 2 cm C1
+    # band the touchdown solves of these seeds took up to 34 inner
+    # iterations, with the blend over one rotor radius at most 7
+    logs = batches[name][0][:3]
+    worst = max(int(lg.inner_iterations[np.isin(
+        lg.phases, ("TRACK", "DESCEND"))].max()) for lg in logs)
+    assert worst <= 10, worst
 
 
 def test_obstacle_cycles_rarely_exhaust_the_budget(batches):

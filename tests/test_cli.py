@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import landersim
 from landersim.cli import main
+from landersim.ocp import NmpcSolver
 
 RUN_ARGS = ["run", "--scenario", "static_clear", "--trials", "2",
             "--seed", "0", "--format", "table", "--assert"]
@@ -71,6 +73,20 @@ def test_report_json_content(first_run):
     assert d["scenario"] == "static_clear"
     assert d["aggregates"]["success_rate"] == 1.0
     assert len(d["results"]) == 2
+
+
+def test_report_json_inner_iterations_by_phase(first_run):
+    # each trial row sums the CSV's inner_iterations column per phase
+    # that calls the solver
+    _, out = first_run
+    for r in json.loads((out / "report.json").read_text())["results"]:
+        want = dict.fromkeys(("APPROACH", "TRACK", "DESCEND"), 0)
+        with open(out / f"trial_{r['seed']}.csv") as f:
+            for row in csv.DictReader(f):
+                if row["phase"] in want:
+                    want[row["phase"]] += int(row["inner_iterations"])
+        assert r["inner_iterations"] == want
+        assert min(want.values()) > 0
 
 
 def test_report_txt_content(first_run):
@@ -238,6 +254,25 @@ def test_check_gradients_tight_tol_fails(capsys):
                "--tol", "1e-14"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_gradients_nan_gradient_fails(capsys, monkeypatch):
+    # one NaN entry in the analytic gradient must fail the check
+    evaluate = NmpcSolver._evaluate
+
+    def nan_entry(self, *args, grad=False, **kwargs):
+        ev = evaluate(self, *args, grad=grad, **kwargs)
+        if not grad:
+            return ev
+        G = ev.G.copy()
+        G[3] = np.nan
+        return ev._replace(G=G)
+    monkeypatch.setattr(NmpcSolver, "_evaluate", nan_entry)
+    rc = main(["check-gradients", "--scenario", "static_clear",
+               "--points", "2"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "max relative error nan" in out and "FAIL" in out
 
 
 @pytest.mark.parametrize("args", [["--points", "0"], ["--points", "-3"],

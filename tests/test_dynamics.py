@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from landersim.dynamics import (
     ATT,
     EULER_SINGULARITY_TOL,
-    GE_BLEND_WIDTH,
     POS,
     RATE,
     VEL,
@@ -77,17 +76,21 @@ class TestMix:
 
 class TestGroundEffect:
     def test_reference_height(self):
-        # z_r + eps = r: s = 1/4, k = 1 / (1 - 1/16) = 16/15
+        # z_r + eps = 2r, above the blend band: s = 1/8, k = 1 / (1 - 1/64)
         p = QuadrotorParams()
-        assert _ground_effect(0.11, p, grad=0) == pytest.approx(16.0 / 15.0)
+        z = 2.0 * p.r_rotor - p.eps_ge
+        assert z > saturation_height(p) + p.r_rotor
+        assert _ground_effect(z, p, grad=0) == pytest.approx(64.0 / 63.0)
 
     def test_clamp_threshold(self):
         # clamp engages where s^2 = 1 - 1/k_max, i.e. z + eps = r*sqrt(3)/4
         p = QuadrotorParams()
         z_star = p.r_rotor * np.sqrt(3.0) / 4.0 - p.eps_ge
         assert _ground_effect(z_star - 1e-9, p, grad=0) == pytest.approx(1.5)
-        assert _ground_effect(z_star + 1e-6, p, grad=0) < 1.5
-        assert _ground_effect(z_star + 1e-6, p, grad=0) == pytest.approx(1.5, abs=1e-3)
+        # the blend leaves the cap with zero slope and curvature, so k
+        # falls below it only as (z - z*)^4: visibly 1 mm above z*
+        assert _ground_effect(z_star + 1e-3, p, grad=0) < 1.5
+        assert _ground_effect(z_star + 1e-3, p, grad=0) == pytest.approx(1.5, abs=1e-3)
 
     def test_below_surface_clamps_at_zero_height(self):
         p = QuadrotorParams()
@@ -132,22 +135,72 @@ def saturation_height(p):
     return p.r_rotor / (4.0 * np.sqrt(1.0 - 1.0 / p.k_ge_max)) - p.eps_ge
 
 
+def raw_factor(zp, p):
+    """The Cheeseman-Bennett factor and its first two derivatives at zp,
+    the height over the surface plus eps, written as _ground_effect
+    writes them."""
+    c2 = (0.25 * p.r_rotor) ** 2
+    zp2 = zp * zp
+    den = zp2 - c2
+    return (zp2 / den, (-2.0 * c2) * zp / (den * den),
+            (2.0 * c2) * (3.0 * zp2 + c2) / (den * den * den))
+
+
 class TestGroundEffectBlend:
-    """The smoothstep band [z*, z* + GE_BLEND_WIDTH] between the saturated
+    """The smootherstep band [z*, z* + r_rotor] between the saturated
     multiplier and the raw factor."""
 
-    @pytest.mark.parametrize("knot", [0.0, GE_BLEND_WIDTH])
+    # the knots are the band's ends, t = 0 and 1
+    @pytest.mark.parametrize("knot", [0.0, 1.0])
     def test_value_and_slope_continuous_at_knots(self, knot):
         p = QuadrotorParams()
-        z = saturation_height(p) + knot
+        z = saturation_height(p) + knot * p.r_rotor
         d = 1e-13
         for a, b in zip(_ground_effect(z + d, p), _ground_effect(z - d, p)):
             assert abs(a - b) < 1e-9
 
+    @pytest.mark.parametrize("knot", [0.0, 1.0])
+    def test_curvature_continuous_at_knots(self, knot):
+        # C2: the curvature on either side of a knot agrees as the
+        # distance shrinks, as value and slope do
+        p = QuadrotorParams()
+        z = saturation_height(p) + knot * p.r_rotor
+        for d in (1e-5, 1e-7, 1e-9):
+            a = _ground_effect(z + d, p, grad=2)
+            b = _ground_effect(z - d, p, grad=2)
+            assert abs(a[0] - b[0]) < 1e2 * d
+            assert abs(a[1] - b[1]) < 1e3 * d
+            assert abs(a[2] - b[2]) < 1e5 * d
+
+    def test_raw_factor_bit_for_bit_at_and_above_band_top(self):
+        # the guard behind the claim that plans above the band fly the
+        # same model as before the blend changed: k is the raw factor's to
+        # the bit from the band's top up, and so are dk and d2k once past
+        # it, alone or in a batch whose other rows open the blend branch,
+        # on floats and on arrays. Within an ulp of the top, where t may
+        # round below 1, the curvature term 60 s t (t - s) / w^2 is of
+        # order 1e-13
+        p = QuadrotorParams()
+        top = saturation_height(p) + p.r_rotor
+        for z_surface in (0.0, 0.3):
+            above = z_surface + top + np.array([0.0, 1e-12, 1e-6, 0.01, 0.5,
+                                                3.0])
+            raw = raw_factor(above + (p.eps_ge - z_surface), p)
+            mixed = np.concatenate([above,
+                                    z_surface + np.array([0.0, 0.05, 0.1])])
+            for got in (_ground_effect(above, p, z_surface, grad=2),
+                        [g[:above.size] for g in
+                         _ground_effect(mixed, p, z_surface, grad=2)]):
+                np.testing.assert_array_equal(got[0], raw[0])
+                for a, b in zip(got[1:], raw[1:]):
+                    np.testing.assert_array_equal(a[1:], b[1:])
+            for z, want in zip(above.tolist(), raw[0].tolist()):
+                assert _ground_effect(z, p, z_surface, grad=0) == want
+
     def test_monotone_and_bounded_through_band(self):
         p = QuadrotorParams()
         z0 = saturation_height(p)
-        z = np.linspace(z0 - 0.01, z0 + GE_BLEND_WIDTH + 0.01, 4001)
+        z = np.linspace(z0 - 0.01, z0 + p.r_rotor + 0.01, 4001)
         k = _ground_effect(z, p, grad=0)
         assert np.all(np.diff(k) <= 0.0)
         assert np.all((k >= 1.0) & (k <= p.k_ge_max))
@@ -159,7 +212,7 @@ class TestGroundEffectBlend:
         below = np.array([-0.1, 0.0, 0.5 * z0, z0])
         np.testing.assert_array_equal(_ground_effect(below, p, grad=0),
                                       p.k_ge_max)
-        above = z0 + GE_BLEND_WIDTH + np.array([1e-9, 0.01, 0.5])
+        above = z0 + p.r_rotor + np.array([1e-9, 0.01, 0.5])
         raw = 1.0 / (1.0 - (p.r_rotor / (4.0 * (above + p.eps_ge))) ** 2)
         np.testing.assert_allclose(_ground_effect(above, p, grad=0), raw,
                                    rtol=1e-14)
@@ -167,7 +220,7 @@ class TestGroundEffectBlend:
     def test_gradient_matches_fd_inside_band(self):
         p = QuadrotorParams()
         z0 = saturation_height(p)
-        z = z0 + GE_BLEND_WIDTH * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        z = z0 + p.r_rotor * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
         h = 1e-7
         fd = (_ground_effect(z + h, p, grad=0)
               - _ground_effect(z - h, p, grad=0)) / (2 * h)
@@ -193,7 +246,7 @@ class TestGroundEffectBlend:
         n = 6
         X = np.stack([random_state(rng) for _ in range(n)])
         X[:, 2] = z_surface + saturation_height(p) \
-            + GE_BLEND_WIDTH * np.linspace(0.15, 0.85, n)
+            + p.r_rotor * np.linspace(0.15, 0.85, n)
         U = rng.uniform(0.5, 7.0, (n, 4))
         _, A, _, _ = derivative_and_jacobians_batch(X, U, p, z_surface)
         h = 1e-7
@@ -212,8 +265,8 @@ class TestGroundEffectBlend:
         z0 = saturation_height(p)
         return z_surface + np.concatenate([
             [-0.05, 0.0, 0.5 * z0],
-            z0 + GE_BLEND_WIDTH * np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
-            z0 + GE_BLEND_WIDTH + np.array([3e-3, 0.05, 0.5])])
+            z0 + p.r_rotor * np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
+            z0 + p.r_rotor + np.array([3e-3, 0.05, 0.5])])
 
     @pytest.mark.parametrize("z_surface", [0.0, 0.3])
     def test_curvature_matches_fd_across_band(self, z_surface):
@@ -227,7 +280,10 @@ class TestGroundEffectBlend:
         fd = (_ground_effect(z + h, p, z_surface)[1]
               - _ground_effect(z - h, p, z_surface)[1]) / (2 * h)
         np.testing.assert_allclose(d2k, fd, rtol=1e-7, atol=1e-9)
-        assert np.abs(d2k[3:8]).max() > 1e3     # the band is sharply curved
+        # the band curves less than the raw factor does at z*, so the cap
+        # is left no more sharply than the raw factor would leave it
+        zs = saturation_height(p) + p.eps_ge
+        assert np.abs(d2k[3:8]).max() < raw_factor(zs, p)[2]
         # above the band, the raw factor's curvature bit for bit
         np.testing.assert_array_equal(
             d2k[-3:], _ground_effect(z[-3:], p, z_surface, grad=2)[2])
@@ -286,13 +342,13 @@ class TestDerivative:
         np.testing.assert_allclose(dx, expected, atol=1e-12)
 
     def test_ground_effect_lifts_hover(self):
-        # at z_r = 0.11 the multiplier is 16/15, so hover thrust accelerates
-        # upward at g/15 = 0.654 m/s^2
+        # at z_r + eps = 2r, above the blend band, the multiplier is 64/63,
+        # so hover thrust accelerates upward at g/63 = 0.156 m/s^2
         p = QuadrotorParams()
-        x = make_state(pos=(0.0, 0.0, 0.11))
+        x = make_state(pos=(0.0, 0.0, 2.0 * p.r_rotor - p.eps_ge))
         dx = derivative(x, hover_control(p), p, z_surface=0.0)
-        assert dx[5] == pytest.approx(p.g / 15.0)
-        assert dx[5] == pytest.approx(0.654)
+        assert dx[5] == pytest.approx(p.g / 63.0)
+        assert dx[5] == pytest.approx(0.156, abs=1e-3)
 
     def test_thrust_direction_vertical_at_level_attitude(self):
         # the thrust axis is the acceleration gravity does not explain,

@@ -214,6 +214,7 @@ def test_trial_result_failed_log():
     assert r.failed
     assert r.fpe_cm is None and r.touchdown_time is None
     assert "timeout" in r.failure_reason
+    assert r.inner_iterations == {"APPROACH": 0, "TRACK": 0, "DESCEND": 0}
 
 
 def test_trial_result_of_real_trial(small_batch):
