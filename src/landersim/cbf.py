@@ -72,12 +72,6 @@ def barrier_value(xy, obstacle: ObstacleSpec):
     return h
 
 
-def cbf_residual(xy_now, xy_next, obstacle: ObstacleSpec, gamma: float):
-    """h(next) - (1 - gamma) * h(now); nonnegative means the step is safe."""
-    return barrier_value(xy_next, obstacle) - (1.0 - gamma) * barrier_value(
-        xy_now, obstacle)
-
-
 def barrier_values_all(xy, cfg: CbfConfig) -> np.ndarray:
     """h for every obstacle, stacked on a new ... x n_obstacles axis."""
     xy = np.asarray(xy, dtype=float)

@@ -122,13 +122,10 @@ class ScenarioConfig:
             raise ScenarioError("seed must be non-negative")
         if self.timeout <= 0:
             raise ScenarioError("timeout must be positive")
-        self.validate()
-
-    def validate(self):
-        """Cross-module preconditions: the platform center path and the
-        nominal initial state must stay outside every obstacle safety
-        circle (starts should clear them by more than the 0.3 m seed
-        perturbation)."""
+        # cross-module preconditions: the platform center path and the
+        # nominal initial state stay outside every obstacle safety circle
+        # (starts should clear them by more than the 0.3 m seed
+        # perturbation)
         if not self.cbf.obstacles:
             return
         ts = np.arange(0.0, self.timeout + self.nmpc.dt, self.nmpc.dt)

@@ -19,8 +19,9 @@ The problem is evaluated once per iterate, by NmpcSolver._evaluate: cost,
 defects, decay residuals and augmented objective, plus the gradient and
 dynamics Jacobians on a gradient pass. The line search's evaluation of the
 accepted point feeds its gradient pass, the metric, the multiplier update,
-the polish check and the reported certificate; constraint_eval is kept as
-an independent reference for that certificate.
+the polish check and the reported certificate. The tests check that
+certificate against an independent evaluation of the constraints
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+# the solver does not call barrier_value, but perfbench/tracing.py times
+# the barrier layer through this module's name for it
 from landersim.cbf import CbfConfig, barrier_value
 from landersim.dynamics import (
     QuadrotorParams,
@@ -64,11 +67,10 @@ def _load_flapack():
     return module
 
 
-# LAPACK's band Cholesky solve, the routine scipy.linalg.solveh_banded wraps
-dpbsv = _load_flapack().dpbsv
-# Placeholders: the solver calls neither name, but perfbench/tracing.py
-# patches both here. ROADMAP direction 5's tracer mend deletes them.
-cho_factor = cho_solve = None
+# LAPACK's band Cholesky factorization and solve, the two halves of the
+# dpbsv that scipy.linalg.solveh_banded wraps
+cho_factor = _load_flapack().dpbtrf
+cho_solve = _load_flapack().dpbtrs
 
 
 class SolverDiverged(RuntimeError):
@@ -203,10 +205,6 @@ class DecisionVector:
         if self.states.shape[0] != self.controls.shape[0] + 1:
             raise ValueError("need one more state row than control rows")
 
-    @property
-    def n(self) -> int:
-        return self.controls.shape[0]
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.states.ravel(), self.controls.ravel()])
 
@@ -218,30 +216,6 @@ class DecisionVector:
 
     def copy(self) -> "DecisionVector":
         return DecisionVector(self.states.copy(), self.controls.copy())
-
-
-@dataclass
-class ConstraintBundle:
-    """Raw constraint values at a decision vector: dynamics defects (N, 12),
-    barrier-decay residuals (N, n_obstacles) without solver tightening, the
-    initial-state pin residual, and the worst box-bound violation."""
-
-    defects: np.ndarray
-    cbf_residuals: np.ndarray
-    pin_residual: np.ndarray
-    bound_violation: float
-
-    @property
-    def defect_norm(self) -> float:
-        if self.defects.size == 0:
-            return 0.0
-        return float(np.abs(self.defects).max())
-
-    @property
-    def min_cbf_residual(self) -> float:
-        if self.cbf_residuals.size == 0:
-            return float("inf")
-        return float(self.cbf_residuals.min())
 
 
 @dataclass
@@ -325,44 +299,6 @@ def _cost(X, U, tr, cfg: NmpcConfig, grad=False, value=True):
         GX[:n, 0:3] += 2.0 * cfg.lam * dp
     GX[n] += 2.0 * cfg.q_terminal * eN
     return c, G
-
-
-def total_cost(decision: DecisionVector, plan: ReferencePlan, cfg: NmpcConfig) -> float:
-    """Sum of stage costs plus the terminal cost."""
-    return _cost(decision.states, decision.controls, plan, cfg)
-
-
-def constraint_eval(decision: DecisionVector, x_init, cfg: NmpcConfig,
-                    cbf_cfg: CbfConfig, params: QuadrotorParams,
-                    z_surface: float = 0.0) -> ConstraintBundle:
-    """Evaluate all constraints at a decision vector (raw, untightened).
-
-    Written independently of the solver's own evaluation, so it serves as
-    the reference its reported defect norm and barrier residual are
-    checked against."""
-    X, U = decision.states, decision.controls
-    n = decision.n
-    pred = euler_step_batch(X[:n], U, cfg.dt, params, z_surface)
-    defects = X[1:] - pred
-
-    if cbf_cfg.obstacles:
-        res = np.empty((n, len(cbf_cfg.obstacles)))
-        for j, ob in enumerate(cbf_cfg.obstacles):
-            h = barrier_value(X[:, 0:2], ob)
-            res[:, j] = h[1:] - (1.0 - cbf_cfg.gamma) * h[:n]
-    else:
-        res = np.zeros((n, 0))
-
-    lo = np.maximum(_X_MIN - X[1:], 0.0).max() if n else 0.0
-    hi = np.maximum(X[1:] - _X_MAX, 0.0).max() if n else 0.0
-    ulo = np.maximum(cfg.u_min - U, 0.0).max()
-    uhi = np.maximum(U - cfg.u_max, 0.0).max()
-    return ConstraintBundle(
-        defects=defects,
-        cbf_residuals=res,
-        pin_residual=X[0] - np.asarray(x_init, dtype=float),
-        bound_violation=float(max(lo, hi, ulo, uhi)),
-    )
 
 
 class _Eval(NamedTuple):
@@ -597,9 +533,12 @@ class NmpcSolver:
         rhs = np.where(free, -G[self._perm], 0.0)
         zp, lo, hi = z[self._perm], lb[self._perm], ub[self._perm]
         while True:     # each round pins one more coordinate at least
-            # LAPACK's band Cholesky solve, as scipy's solveh_banded calls
-            # it, without that wrapper's checks (ab is kept for the next round)
-            _, step, info = dpbsv(ab, rhs, lower=1)
+            # LAPACK's band Cholesky factor and solve, without the checks
+            # of scipy's solveh_banded; dpbtrf factors a copy, so ab is kept
+            # for the next round
+            c, info = cho_factor(ab, lower=1)
+            if info == 0:
+                step, info = cho_solve(c, rhs, lower=1)
             if info != 0 or not np.isfinite(step).all():
                 return None
             to = zp + step

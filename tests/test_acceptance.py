@@ -12,12 +12,14 @@ import pytest
 
 from landersim import sim
 from landersim.cbf import CbfConfig, ObstacleSpec, barrier_value, \
-    cbf_residual, decay_envelope
+    decay_envelope
 from landersim.cli import main
 from landersim.dynamics import QuadrotorParams, hover_control, make_state
 from landersim.harness import batch_report, load_scenario, run_trials
 from landersim.ocp import NmpcConfig, NmpcSolver, ReferencePlan
 from landersim.sim import H_FLOOR, run_closed_loop
+
+import oracles
 
 SCENARIOS = ("static_clear", "static_obstacle", "dynamic_clear",
              "dynamic_obstacle")
@@ -170,7 +172,7 @@ def test_criterion_6_cbf_forward_invariance(verdict):
             dist = np.sqrt(target + ob.r_safe ** 2)
             theta = rng.uniform(0, 2 * np.pi)
             nxt = ob.center + dist * np.array([np.cos(theta), np.sin(theta)])
-            assert float(cbf_residual(xy, nxt, ob, gamma)) >= 0.0
+            assert float(oracles.cbf_residual(xy, nxt, ob, gamma)) >= 0.0
             xy = nxt
             hs.append(float(barrier_value(xy, ob)))
         envelope = decay_envelope(h0, gamma, np.arange(n_steps + 1))

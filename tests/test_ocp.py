@@ -23,12 +23,12 @@ from landersim.ocp import (
     _X_MIN,
     _cost,
     _random_decision,
-    constraint_eval,
     WarmStart,
     gradient_check,
-    total_cost,
 )
 from landersim.platform import LandingPhase, build_reference_plan
+
+import oracles
 
 
 @pytest.fixture
@@ -60,11 +60,17 @@ def _constant_plan(cfg, pos, track_active=False, v_platform=(0.0, 0.0, 0.0)):
 # -- cost oracles -----------------------------------------------------------
 
 
+def _total_cost(dec, plan, cfg):
+    """The solver's tracking cost of a decision vector."""
+    return _cost(dec.states, dec.controls, plan, cfg)
+
+
 def _naive_cost(dec, plan, cfg):
     """Independent scalar-loop oracle: stage errors, platform pull towards
     each stage's anchor, and the terminal error."""
+    n = dec.controls.shape[0]
     c = 0.0
-    for k in range(dec.n):
+    for k in range(n):
         for i in range(12):
             c += cfg.q[i] * (dec.states[k, i] - plan.x_ref[k, i]) ** 2
         for i in range(4):
@@ -73,7 +79,7 @@ def _naive_cost(dec, plan, cfg):
             for i in range(3):
                 c += cfg.lam[i] * (dec.states[k, i] - plan.anchors[k, i]) ** 2
     for i in range(12):
-        c += cfg.q_terminal[i] * (dec.states[dec.n, i] - plan.x_terminal[i]) ** 2
+        c += cfg.q_terminal[i] * (dec.states[n, i] - plan.x_terminal[i]) ** 2
     return c
 
 
@@ -91,7 +97,7 @@ def test_stage_cost_perfect_tracking(cfg):
     plan = _constant_plan(cfg, x[0:3], track_active=True)
     dec = DecisionVector(states=plan.x_ref.copy(),
                          controls=np.zeros((cfg.n, 4)))
-    assert total_cost(dec, plan, cfg) == 0.0
+    assert _total_cost(dec, plan, cfg) == 0.0
 
 
 def test_stage_cost_single_quadratic_term():
@@ -100,15 +106,15 @@ def test_stage_cost_single_quadratic_term():
     x = x_r.copy()
     x[0] += 1.0                       # unit error in p_x
     dec, plan = _one_stage(x, np.zeros(4), x_r, x_r, x_r, x_r[0:3], False)
-    assert total_cost(dec, plan, cfg) == pytest.approx(1.0)
+    assert _total_cost(dec, plan, cfg) == pytest.approx(1.0)
 
 
 def test_stage_cost_platform_pull_term():
     cfg = NmpcConfig(n=1, lam=np.array([2.0, 0.0, 0.0]))
     x = make_state(pos=(0.5, 0.0, 1.0))
     p_f = np.array([0.0, 0.0, 1.0])   # drone 0.5 m ahead of the anchor in x
-    base = total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, False), cfg)
-    pulled = total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, True), cfg)
+    base = _total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, False), cfg)
+    pulled = _total_cost(*_one_stage(x, np.zeros(4), x, x, x, p_f, True), cfg)
     assert base == 0.0
     assert pulled == pytest.approx(2.0 * 0.25)
 
@@ -117,12 +123,12 @@ def test_terminal_cost_zero_and_single_term():
     cfg = NmpcConfig(n=1, q_terminal=10.0 * np.ones(12))
     x_rf = make_state(pos=(0.0, 0.0, 1.0))
     x0 = make_state(pos=(0.0, 0.0, 2.0))
-    assert total_cost(*_one_stage(x0, np.zeros(4), x_rf, x0, x_rf, x_rf[0:3],
-                                  False), cfg) == 0.0
+    assert _total_cost(*_one_stage(x0, np.zeros(4), x_rf, x0, x_rf, x_rf[0:3],
+                                   False), cfg) == 0.0
     x = x_rf.copy()
     x[4] += 1.0
-    assert total_cost(*_one_stage(x0, np.zeros(4), x, x0, x_rf, x_rf[0:3],
-                                  False), cfg) == pytest.approx(10.0)
+    assert _total_cost(*_one_stage(x0, np.zeros(4), x, x0, x_rf, x_rf[0:3],
+                                   False), cfg) == pytest.approx(10.0)
 
 
 def test_terminal_cost_is_stage_cost_with_swapped_weights(cfg):
@@ -136,10 +142,10 @@ def test_terminal_cost_is_stage_cost_with_swapped_weights(cfg):
     as_terminal = NmpcConfig(n=1)
     as_stage = NmpcConfig(n=1, q=cfg.q_terminal.copy(), r=np.zeros(4),
                           lam=np.zeros(3), q_terminal=np.zeros(12))
-    terminal = total_cost(*_one_stage(x0, u0, x, x0, x_rf, x0[0:3], False),
-                          as_terminal)
-    stage = total_cost(*_one_stage(x, u0, x0, x_rf, x0, x0[0:3], False),
-                       as_stage)
+    terminal = _total_cost(*_one_stage(x0, u0, x, x0, x_rf, x0[0:3], False),
+                           as_terminal)
+    stage = _total_cost(*_one_stage(x, u0, x0, x_rf, x0, x0[0:3], False),
+                        as_stage)
     assert terminal == pytest.approx(stage, rel=1e-12)
 
 
@@ -147,7 +153,7 @@ def test_total_cost_zero_at_perfect_tracking(cfg):
     plan = _constant_plan(cfg, (0.0, 0.0, 1.0))
     dec = DecisionVector(states=plan.x_ref.copy(),
                          controls=np.zeros((cfg.n, 4)))
-    assert total_cost(dec, plan, cfg) == 0.0
+    assert _total_cost(dec, plan, cfg) == 0.0
 
 
 def test_total_cost_horizon_one_reduces_to_stage_plus_terminal():
@@ -163,7 +169,7 @@ def test_total_cost_horizon_one_reduces_to_stage_plus_terminal():
     eN = dec.states[1] - plan.x_terminal
     want = (np.dot(cfg.q, e0 ** 2) + np.dot(cfg.r, dec.controls[0] ** 2)
             + np.dot(cfg.lam, dp ** 2) + np.dot(cfg.q_terminal, eN ** 2))
-    assert total_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
+    assert _total_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
     assert _naive_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
 
 
@@ -178,7 +184,7 @@ def test_total_cost_matches_naive_loop(cfg):
                                                  [0.8, -0.3, 0.0],
                                                  cfg.n, cfg.dt))
     want = _naive_cost(dec, plan, cfg)
-    assert total_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
+    assert _total_cost(dec, plan, cfg) == pytest.approx(want, rel=1e-12)
 
 
 # -- constraint structure ----------------------------------------------------
@@ -197,7 +203,7 @@ def test_constraint_eval_rollout_has_zero_defects(cfg, params):
     x0 = make_state(pos=(0.0, 0.0, 2.0))
     U = rng.uniform(2.0, 3.5, size=(cfg.n, 4))
     dec = _rollout_decision(x0, U, cfg, params)
-    bundle = constraint_eval(dec, x0, cfg, CbfConfig(), params)
+    bundle = oracles.constraint_eval(dec, x0, cfg, CbfConfig(), params)
     # not bitwise zero: the batched evaluation reassociates the thrust
     # mixing matmul differently than the one-row rollout
     assert bundle.defect_norm < 1e-13
@@ -211,11 +217,11 @@ def test_constraint_eval_defect_sparsity_probe(cfg, params):
     x0 = make_state(pos=(0.0, 0.0, 2.0))
     U = rng.uniform(2.0, 3.5, size=(cfg.n, 4))
     dec = _rollout_decision(x0, U, cfg, params)
-    base = constraint_eval(dec, x0, cfg, CbfConfig(), params).defects
+    base = oracles.constraint_eval(dec, x0, cfg, CbfConfig(), params).defects
     delta = 1e-3
     pert = dec.copy()
     pert.states[3, 4] += delta
-    d = constraint_eval(pert, x0, cfg, CbfConfig(), params).defects
+    d = oracles.constraint_eval(pert, x0, cfg, CbfConfig(), params).defects
     diff = d - base
     assert diff[2, 4] == pytest.approx(delta, rel=1e-12)
     changed = np.where(np.any(diff != 0.0, axis=1))[0]
@@ -225,7 +231,8 @@ def test_constraint_eval_defect_sparsity_probe(cfg, params):
 def test_constraint_eval_no_obstacles_empty_residuals(cfg, params):
     dec = _rollout_decision(make_state(pos=(0, 0, 1)), np.zeros((cfg.n, 4)),
                             cfg, params)
-    bundle = constraint_eval(dec, dec.states[0], cfg, CbfConfig(), params)
+    bundle = oracles.constraint_eval(dec, dec.states[0], cfg, CbfConfig(),
+                                     params)
     assert bundle.cbf_residuals.shape == (cfg.n, 0)
     assert bundle.min_cbf_residual == np.inf
 
@@ -236,7 +243,7 @@ def test_constraint_eval_residuals_match_barrier_recursion(cfg, params):
     rng = np.random.default_rng(2)
     dec = DecisionVector(states=rng.normal(size=(cfg.n + 1, 12)) + 2.0,
                          controls=rng.uniform(2, 3, size=(cfg.n, 4)))
-    bundle = constraint_eval(dec, dec.states[0], cfg, cbf, params)
+    bundle = oracles.constraint_eval(dec, dec.states[0], cfg, cbf, params)
     h = barrier_value(dec.states[:, 0:2], ob)
     np.testing.assert_allclose(bundle.cbf_residuals[:, 0],
                                h[1:] - (1 - cbf.gamma) * h[:-1])
@@ -247,7 +254,8 @@ def test_constraint_eval_reports_bound_violation(cfg, params):
     U = np.tile(hover_control(params), (cfg.n, 1))
     dec = DecisionVector(X, U)
     dec.controls[4, 2] = cfg.u_max + 0.25
-    bundle = constraint_eval(dec, dec.states[0], cfg, CbfConfig(), params)
+    bundle = oracles.constraint_eval(dec, dec.states[0], cfg, CbfConfig(),
+                                     params)
     assert bundle.bound_violation == pytest.approx(0.25)
 
 
@@ -256,7 +264,8 @@ def test_constraint_eval_reports_bound_violation(cfg, params):
 
 def _warm(dec):
     """dec as a warm start with zero multipliers and no obstacles."""
-    return WarmStart(dec, np.zeros((dec.n, 12)), np.zeros((dec.n, 0)), 10.0)
+    n = dec.controls.shape[0]
+    return WarmStart(dec, np.zeros((n, 12)), np.zeros((n, 0)), 10.0)
 
 
 def test_shift_constant_sequences_are_fixed_points():
@@ -314,7 +323,7 @@ def test_cost_gradient_matches_central_differences(cfg):
                                                  [0.5, 0.2, 0.0],
                                                  cfg.n, cfg.dt))
     c, g = _cost(dec.states, dec.controls, plan, cfg, grad=True)
-    assert c == total_cost(dec, plan, cfg)
+    assert c == _total_cost(dec, plan, cfg)
     z = dec.flatten()
     # the objective is quadratic, so central differences are exact for any
     # step; a generous one keeps the cancellation noise far below tolerance
@@ -324,8 +333,8 @@ def test_cost_gradient_matches_central_differences(cfg):
         zp, zm = z.copy(), z.copy()
         zp[j] += eps
         zm[j] -= eps
-        fd = (total_cost(DecisionVector.from_flat(zp, cfg.n), plan, cfg)
-              - total_cost(DecisionVector.from_flat(zm, cfg.n), plan, cfg)
+        fd = (_total_cost(DecisionVector.from_flat(zp, cfg.n), plan, cfg)
+              - _total_cost(DecisionVector.from_flat(zm, cfg.n), plan, cfg)
               ) / (2 * eps)
         assert g[j] == pytest.approx(fd, rel=1e-9, abs=1e-9)
 
@@ -784,8 +793,8 @@ def test_certificate_is_the_reference_evaluation(params, monkeypatch, case):
     # iterate it returns from its own last evaluation; they must be those
     # of the reference constraint_eval and cost, bit for bit
     solver, x0, sol = _certificate_case(case, params, monkeypatch)
-    ref = constraint_eval(sol.decision, x0, solver.cfg, solver.cbf_cfg,
-                          solver.params)
+    ref = oracles.constraint_eval(sol.decision, x0, solver.cfg,
+                                  solver.cbf_cfg, solver.params)
     assert sol.defect_norm.hex() == ref.defect_norm.hex()
     assert sol.min_cbf_residual.hex() == ref.min_cbf_residual.hex()
     tr = solver._transcribe(x0, _constant_plan(solver.cfg, (2.0, 0.0, 1.3)))
